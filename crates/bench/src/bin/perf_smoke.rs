@@ -44,7 +44,6 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use ipcp_bench::combos;
-use ipcp_bench::runner::RunScale;
 use ipcp_bench::store::fnv1a_64;
 use ipcp_sim::telemetry::JsonValue;
 use ipcp_sim::PhaseStats;
@@ -188,8 +187,7 @@ fn main() {
         // timers on for every run this process performs.
         std::env::set_var("IPCP_PHASE_STATS", "1");
     }
-    let scale = RunScale::from_env()
-        .unwrap_or_else(|bad| die(&format!("invalid IPCP_SCALE {bad:?}(want paper or W,I)")));
+    let scale = ipcp_bench::env::or_die(ipcp_bench::env::scale());
     let mut doc = load_doc(&opts.out);
 
     if let (Some(cold), Some(warm)) = (opts.sweep_cold, opts.sweep_warm) {

@@ -7,8 +7,7 @@
 //! like `IPCP_JOBS=fuor` ran a sweep serially without a word. Every knob
 //! now parses through one catalogue with one policy: **a set-but-malformed
 //! value is an error carrying the knob name and the offending value**, and
-//! the [`or_die`] wrapper turns that into the same loud `exit(2)` that
-//! [`RunScale::from_env`] established.
+//! the [`or_die`] wrapper turns that into one loud `exit(2)`.
 //!
 //! The catalogue ([`KNOBS`]) is machine-readable: `experiments --list-env`
 //! dumps every knob with its current value, so "what is this sweep
@@ -28,7 +27,7 @@
 use std::fmt;
 use std::path::PathBuf;
 
-use crate::runner::RunScale;
+use crate::runner::{InvalidScale, RunScale};
 
 /// One documented environment knob.
 #[derive(Debug, Clone, Copy)]
@@ -55,7 +54,7 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "IPCP_JSON",
-        summary: "directory for <name>.data.json figure sidecars (empty: disabled; the experiments driver and sweepd default it to the results dir)",
+        summary: "directory for <name>.data.json figure sidecars (empty: disabled; the experiments driver defaults it to the results dir)",
     },
     Knob {
         name: "IPCP_SIMCACHE",
@@ -67,7 +66,7 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "IPCP_SIMCACHE_STATS",
-        summary: "file to dump this process's simcache hit/miss/store counters into (set per child by the drivers)",
+        summary: "file to dump this process's simcache hit/miss/store counters into (set per child by the experiments driver)",
     },
     Knob {
         name: "IPCP_MIXES",
@@ -115,9 +114,22 @@ impl fmt::Display for EnvError {
 
 impl std::error::Error for EnvError {}
 
+impl From<InvalidScale> for EnvError {
+    fn from(e: InvalidScale) -> Self {
+        Self {
+            knob: "IPCP_SCALE",
+            value: e.spec,
+            reason: format!(
+                "{} (expected \"paper\" or \"<warmup>,<instructions>\")",
+                e.reason
+            ),
+        }
+    }
+}
+
 /// Unwraps an env parse, printing the error and exiting with status 2 on
 /// failure — the workspace's standard "never run at an unintended
-/// configuration" policy (same as [`RunScale::from_env`] callers).
+/// configuration" policy.
 pub fn or_die<T>(result: Result<T, EnvError>) -> T {
     result.unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -211,14 +223,17 @@ pub fn jobs() -> Result<Option<usize>, EnvError> {
     Ok(parse_positive("IPCP_JOBS", raw("IPCP_JOBS")?.as_deref())?.map(|n| n as usize))
 }
 
-/// `IPCP_SCALE` as a [`RunScale`] (the knob's original loud parser,
-/// surfaced through the unified error type).
+/// `IPCP_SCALE` as a [`RunScale`]: the scale every experiment, tool and
+/// driver runs at, or the default quick scale when unset. The default
+/// regenerates every figure in minutes; the paper uses 50 M + 200 M —
+/// `IPCP_SCALE=paper` selects 10× deeper runs (relative orderings are
+/// stable; see DESIGN.md §4) and `IPCP_SCALE=<warmup>,<instructions>`
+/// anything else.
 pub fn scale() -> Result<RunScale, EnvError> {
-    RunScale::from_env().map_err(|e| EnvError {
-        knob: "IPCP_SCALE",
-        value: e.spec,
-        reason: e.reason,
-    })
+    let Some(spec) = raw("IPCP_SCALE")? else {
+        return Ok(RunScale::default());
+    };
+    Ok(RunScale::parse(&spec)?)
 }
 
 /// `IPCP_CSV`: per-table CSV export directory.
@@ -348,6 +363,7 @@ mod tests {
     #[test]
     fn positive_counts_are_loud_on_garbage() {
         assert_eq!(parse_positive("IPCP_JOBS", Some("4")).unwrap(), Some(4));
+        assert_eq!(parse_positive("IPCP_JOBS", Some(" 2 ")).unwrap(), Some(2));
         assert_eq!(parse_positive("IPCP_JOBS", None).unwrap(), None);
         assert_eq!(parse_positive("IPCP_INTERVAL", Some("  ")).unwrap(), None);
         for bad in ["0", "-3", "many", "1.5"] {

@@ -24,20 +24,12 @@ use ipcp_trace::TraceSource;
 use ipcp_workloads::SynthTrace;
 
 use crate::combos;
-use crate::jobspec::Provenance;
 use crate::runner::RunScale;
 use crate::simcache;
 
 // ---------------------------------------------------------------------
 // Worker pool
 // ---------------------------------------------------------------------
-
-/// Parses an `IPCP_JOBS`-style value: a positive worker count, or `None`
-/// for anything absent/unparseable (callers fall back to the core count).
-pub fn parse_jobs(spec: Option<&str>) -> Option<usize> {
-    spec.and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-}
 
 /// Worker count from the `IPCP_JOBS` environment variable; defaults to the
 /// number of available cores. Parsed through the consolidated
@@ -222,17 +214,11 @@ pub struct ExperimentOutcome {
     /// The child's simulation-cache counters, when `IPCP_SIMCACHE` was on
     /// (collected via a per-child `IPCP_SIMCACHE_STATS` file).
     pub simcache: Option<simcache::CacheStatsSnapshot>,
-    /// Per-shard provenance: which worker executed the job, under which
-    /// lease epoch (schema-2 manifests; `None` only for pre-fabric
-    /// outcomes that never acquired provenance).
-    pub shard: Option<Provenance>,
 }
 
 impl ExperimentOutcome {
-    /// The outcome as a JSON object (the manifest entry / per-run `.json`
-    /// document, and the fabric's `done/` payload). `wall_secs` is rounded
-    /// to milliseconds. The `shard` block carries worker/epoch/lease plus
-    /// the shard's simcache hit/miss counters when the child reported any.
+    /// The outcome as a JSON object (the manifest entry and the per-run
+    /// `.json` document). `wall_secs` is rounded to milliseconds.
     pub fn to_json(&self) -> JsonValue {
         let mut v = JsonValue::obj()
             .set("name", self.name.as_str())
@@ -261,113 +247,7 @@ impl ExperimentOutcome {
                     .set("stores", s.stores),
             );
         }
-        if let Some(p) = &self.shard {
-            let mut shard = JsonValue::obj()
-                .set("worker", p.worker.as_str())
-                .set("epoch", p.epoch)
-                .set("lease", p.lease.as_str());
-            if let Some(s) = &self.simcache {
-                shard.insert("simcache_hits", s.hits);
-                shard.insert("simcache_misses", s.misses);
-            }
-            v.insert("shard", shard);
-        }
         v
-    }
-
-    /// Parses an outcome back from its [`Self::to_json`] form — how the
-    /// coordinator reassembles worker-published `done/` records into the
-    /// manifest.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first structural problem.
-    pub fn from_json(doc: &JsonValue) -> Result<Self, String> {
-        let name = doc
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or("outcome has no name")?
-            .to_string();
-        let ok = doc
-            .get("ok")
-            .and_then(JsonValue::as_bool)
-            .ok_or("outcome has no ok flag")?;
-        let exit_code = match doc.get("exit_code") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(
-                v.as_i64()
-                    .and_then(|c| i32::try_from(c).ok())
-                    .ok_or("outcome exit_code is not an i32")?,
-            ),
-        };
-        let wall_secs = doc
-            .get("wall_secs")
-            .and_then(JsonValue::as_f64)
-            .ok_or("outcome has no wall_secs")?;
-        let output_path = doc
-            .get("output")
-            .and_then(JsonValue::as_str)
-            .ok_or("outcome has no output path")?
-            .into();
-        let spawn_error = match doc.get("error") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or("outcome error is not a string")?
-                    .to_string(),
-            ),
-        };
-        let data_path = doc
-            .get("data")
-            .and_then(JsonValue::as_str)
-            .map(PathBuf::from);
-        let simcache = match doc.get("simcache") {
-            None => None,
-            Some(s) => Some(simcache::CacheStatsSnapshot {
-                hits: s
-                    .get("hits")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("outcome simcache has no hits")?,
-                misses: s
-                    .get("misses")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("outcome simcache has no misses")?,
-                stores: s
-                    .get("stores")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("outcome simcache has no stores")?,
-            }),
-        };
-        let shard = match doc.get("shard") {
-            None => None,
-            Some(s) => Some(Provenance {
-                worker: s
-                    .get("worker")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("outcome shard has no worker")?
-                    .to_string(),
-                epoch: s
-                    .get("epoch")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("outcome shard has no epoch")?,
-                lease: s
-                    .get("lease")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("outcome shard has no lease")?
-                    .to_string(),
-            }),
-        };
-        Ok(Self {
-            name,
-            exit_code,
-            ok,
-            wall: Duration::from_secs_f64(wall_secs.max(0.0)),
-            output_path,
-            data_path,
-            spawn_error,
-            simcache,
-            shard,
-        })
     }
 }
 
@@ -380,12 +260,9 @@ fn round3(v: f64) -> f64 {
 /// `<results_dir>/manifest.json` machine-readable summary. Outcomes appear
 /// in the manifest in the given (deterministic) order.
 ///
-/// Schema 2: every experiment entry carries a `shard` provenance block
-/// (worker id, lease epoch, lease id, shard simcache hit/miss) so a
-/// manifest records *who executed what under which lease* — identically
-/// shaped for in-process runs (`worker: "local"`, epoch 0) and fabric
-/// sweeps. Figure outputs (`.txt` / `.data.json`) are untouched by the
-/// schema bump; only this gitignored manifest layer changed.
+/// Schema 3: the sweep's `jobs`, `scale`, `total_wall_secs` and `failed`
+/// count, aggregate `simcache` counters when any child reported them, and
+/// one [`ExperimentOutcome::to_json`] entry per experiment.
 ///
 /// # Errors
 ///
@@ -405,7 +282,7 @@ pub fn write_results_json(
         )?;
     }
     let mut manifest = JsonValue::obj()
-        .set("schema", 2i64)
+        .set("schema", 3i64)
         .set("generated_by", "experiments driver (ipcp-tools)")
         .set("jobs", jobs)
         .set("scale", scale_env)
@@ -440,12 +317,18 @@ mod tests {
 
     #[test]
     fn parse_jobs_accepts_positive_counts_only() {
-        assert_eq!(parse_jobs(Some("4")), Some(4));
-        assert_eq!(parse_jobs(Some(" 2 ")), Some(2));
-        assert_eq!(parse_jobs(Some("0")), None);
-        assert_eq!(parse_jobs(Some("-3")), None);
-        assert_eq!(parse_jobs(Some("many")), None);
-        assert_eq!(parse_jobs(None), None);
+        // The pool's worker count is read through `env::jobs`, whose
+        // grammar is this parser: positive counts only, loud on garbage.
+        let parse = |v| crate::env::parse_positive("IPCP_JOBS", v);
+        assert_eq!(parse(Some("4")).unwrap(), Some(4));
+        assert_eq!(parse(Some(" 2 ")).unwrap(), Some(2));
+        assert_eq!(parse(None).unwrap(), None);
+        for bad in ["0", "-3", "many"] {
+            assert!(
+                parse(Some(bad)).is_err(),
+                "IPCP_JOBS={bad} must be rejected"
+            );
+        }
     }
 
     #[test]
@@ -537,11 +420,6 @@ mod tests {
                     misses: 2,
                     stores: 2,
                 }),
-                shard: Some(Provenance {
-                    worker: "w0".into(),
-                    epoch: 2,
-                    lease: "00ff00ff00ff00ff".into(),
-                }),
             },
             ExperimentOutcome {
                 name: "fake_bad".into(),
@@ -552,17 +430,12 @@ mod tests {
                 data_path: None,
                 spawn_error: Some("boom \"quoted\"".into()),
                 simcache: None,
-                shard: Some(Provenance {
-                    worker: "local".into(),
-                    epoch: 0,
-                    lease: "1122334455667788".into(),
-                }),
             },
         ];
         write_results_json(&dir, 3, "default", Duration::from_secs(2), &outcomes).unwrap();
         let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-        // Substring shape of the schema-2 manifest.
-        assert!(manifest.contains("\"schema\": 2"));
+        // Substring shape of the schema-3 manifest.
+        assert!(manifest.contains("\"schema\": 3"));
         assert!(manifest.contains("\"jobs\": 3"));
         assert!(manifest.contains("\"failed\": 1"));
         assert!(manifest.contains("\"name\": \"fake_ok\""));
@@ -573,7 +446,7 @@ mod tests {
         // Structural round-trip through the shared parser: the manifest is
         // well-formed JSON carrying the expected values, escapes included.
         let m = JsonValue::parse(&manifest).unwrap();
-        assert_eq!(m.get("schema").unwrap().as_u64(), Some(2));
+        assert_eq!(m.get("schema").unwrap().as_u64(), Some(3));
         assert_eq!(m.get("jobs").unwrap().as_u64(), Some(3));
         assert_eq!(m.get("scale").unwrap().as_str(), Some("default"));
         assert_eq!(m.get("total_wall_secs").unwrap().as_f64(), Some(2.0));
@@ -597,39 +470,10 @@ mod tests {
         assert!(exps[1].get("data").is_none());
         let p = JsonValue::parse(&per_run).unwrap();
         assert_eq!(p.get("exit_code").unwrap().as_u64(), Some(0));
-        // Schema-2 shard provenance, with shard-level simcache counters
-        // when the outcome carried any.
-        let shard = exps[0].get("shard").unwrap();
-        assert_eq!(shard.get("worker").unwrap().as_str(), Some("w0"));
-        assert_eq!(shard.get("epoch").unwrap().as_u64(), Some(2));
-        assert_eq!(
-            shard.get("lease").unwrap().as_str(),
-            Some("00ff00ff00ff00ff")
-        );
-        assert_eq!(shard.get("simcache_hits").unwrap().as_u64(), Some(5));
-        assert_eq!(shard.get("simcache_misses").unwrap().as_u64(), Some(2));
-        let local = exps[1].get("shard").unwrap();
-        assert_eq!(local.get("worker").unwrap().as_str(), Some("local"));
-        assert_eq!(local.get("epoch").unwrap().as_u64(), Some(0));
-        assert!(local.get("simcache_hits").is_none());
-        // Outcomes survive the JSON round trip the fabric's done/ records
-        // depend on (wall rounded to milliseconds by to_json).
-        for (o, e) in outcomes.iter().zip(exps) {
-            let back = ExperimentOutcome::from_json(e).unwrap();
-            assert_eq!(back.name, o.name);
-            assert_eq!(back.exit_code, o.exit_code);
-            assert_eq!(back.ok, o.ok);
-            assert_eq!(back.wall, o.wall);
-            assert_eq!(back.output_path, o.output_path);
-            assert_eq!(back.data_path, o.data_path);
-            assert_eq!(back.spawn_error, o.spawn_error);
-            assert_eq!(back.simcache, o.simcache);
-            assert_eq!(back.shard, o.shard);
-        }
-        assert!(
-            ExperimentOutcome::from_json(&JsonValue::obj()).is_err(),
-            "structural garbage is rejected"
-        );
+        // Schema 3 carries no shard provenance, in the manifest entries or
+        // the per-run documents.
+        assert!(exps.iter().all(|e| e.get("shard").is_none()));
+        assert!(p.get("shard").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

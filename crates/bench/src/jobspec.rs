@@ -6,20 +6,12 @@
 //! on *explicitly*: scale, mix count, sampler interval, oracle mode,
 //! sidecar directories, and any residual env overrides. [`execute`] is
 //! **spec-authoritative**: it clears every catalogued `IPCP_*` variable
-//! from the child environment before applying the spec, so a worker's
-//! ambient environment can never leak into a result. That property is
-//! what makes the distributed sweep fabric honest — a lease executed on
-//! any worker is the same simulation the coordinator described.
+//! from the child environment before applying the spec, so the driver's
+//! ambient environment (or a pool thread's) can never leak into a result.
 //!
-//! Specs serialize to JSON (the fabric's `queue/` files) and hash to a
-//! stable **content key** ([`JobSpec::content_hash`]) used as the lease id
-//! and as the `shard.lease` provenance field in the schema-2 manifest, so
-//! a result can always be traced back to the exact job description that
-//! produced it.
-//!
-//! The serial `experiments` driver, the in-process `IPCP_JOBS` pool, and
-//! the `sweep-worker` processes all run jobs through [`execute`] — one
-//! code path, provably byte-identical outputs.
+//! The `experiments` driver runs every job through [`execute`], serially
+//! (`IPCP_JOBS=1`) or on its in-process worker pool — one code path, so
+//! pooled and serial sweeps produce byte-identical outputs.
 
 use std::path::Path;
 use std::process::Command;
@@ -31,11 +23,9 @@ use crate::env;
 use crate::harness::ExperimentOutcome;
 use crate::runner::RunScale;
 use crate::simcache;
-use crate::store::fnv1a_64;
 
 /// Every figure/table binary, in the canonical (paper) order — the order
-/// manifests report, independent of completion order. Shared by the
-/// `experiments` driver and the `sweepd` coordinator.
+/// manifests report, independent of completion order.
 pub const EXPERIMENTS: &[&str] = &[
     "table1_storage",
     "table2_config",
@@ -67,8 +57,8 @@ pub const EXPERIMENTS: &[&str] = &[
 ];
 
 /// A typed description of one experiment job. Build with the fluent
-/// methods, snapshot the ambient environment with
-/// [`JobSpec::from_ambient`], or round-trip through JSON.
+/// methods, or snapshot the ambient environment with
+/// [`JobSpec::from_ambient`].
 ///
 /// `csv_dir`/`json_dir` distinguish "unset" (`None`: the binary's default)
 /// from "explicitly empty" (`Some("")`: sidecars disabled) — the same
@@ -116,11 +106,7 @@ impl JobSpec {
     /// The spec must parse (same grammar as the environment variable);
     /// a malformed spec is rejected here, not at execution time.
     pub fn scale_spec(mut self, spec: &str) -> Result<Self, env::EnvError> {
-        RunScale::parse(spec).map_err(|e| env::EnvError {
-            knob: "IPCP_SCALE",
-            value: e.spec,
-            reason: e.reason,
-        })?;
+        RunScale::parse(spec)?;
         self.scale = Some(spec.to_string());
         Ok(self)
     }
@@ -175,7 +161,7 @@ impl JobSpec {
     }
 
     /// Snapshots the ambient `IPCP_*` environment into an explicit spec
-    /// for `figure` — how the drivers turn "whatever the user exported"
+    /// for `figure` — how the driver turns "whatever the user exported"
     /// into a self-contained, shippable job description. Validates every
     /// knob (loudly typed, like the env module).
     ///
@@ -214,127 +200,6 @@ impl JobSpec {
         }
         Ok(spec)
     }
-
-    /// The spec as a JSON document (the fabric's `queue/` payload).
-    pub fn to_json(&self) -> JsonValue {
-        let mut v = JsonValue::obj().set("figure", self.figure.as_str());
-        if let Some(s) = &self.scale {
-            v.insert("scale", s.as_str());
-        }
-        if let Some(m) = self.mixes {
-            v.insert("mixes", m);
-        }
-        if let Some(i) = self.interval {
-            v.insert("interval", i);
-        }
-        if self.no_fastpath {
-            v.insert("no_fastpath", true);
-        }
-        if let Some(d) = &self.csv_dir {
-            v.insert("csv_dir", d.as_str());
-        }
-        if let Some(d) = &self.json_dir {
-            v.insert("json_dir", d.as_str());
-        }
-        if !self.env.is_empty() {
-            v.insert(
-                "env",
-                JsonValue::Arr(
-                    self.env
-                        .iter()
-                        .map(|(k, val)| {
-                            JsonValue::Arr(vec![
-                                JsonValue::Str(k.clone()),
-                                JsonValue::Str(val.clone()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        v
-    }
-
-    /// Parses a spec back from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first structural problem.
-    pub fn from_json(doc: &JsonValue) -> Result<Self, String> {
-        let figure = doc
-            .get("figure")
-            .and_then(JsonValue::as_str)
-            .ok_or("job spec has no figure")?
-            .to_string();
-        let mut spec = Self::new(figure);
-        spec.scale = doc
-            .get("scale")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string);
-        spec.mixes = doc
-            .get("mixes")
-            .and_then(JsonValue::as_u64)
-            .map(|m| m as usize);
-        spec.interval = doc.get("interval").and_then(JsonValue::as_u64);
-        spec.no_fastpath = doc
-            .get("no_fastpath")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false);
-        spec.csv_dir = doc
-            .get("csv_dir")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string);
-        spec.json_dir = doc
-            .get("json_dir")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string);
-        if let Some(env) = doc.get("env") {
-            let entries = env.as_array().ok_or("job spec env is not an array")?;
-            for (i, pair) in entries.iter().enumerate() {
-                let kv = pair
-                    .as_array()
-                    .filter(|kv| kv.len() == 2)
-                    .ok_or_else(|| format!("job spec env[{i}] is not a [key, value] pair"))?;
-                let (Some(k), Some(v)) = (kv[0].as_str(), kv[1].as_str()) else {
-                    return Err(format!("job spec env[{i}] is not a string pair"));
-                };
-                spec.env.push((k.to_string(), v.to_string()));
-            }
-        }
-        Ok(spec)
-    }
-
-    /// The spec's stable content key: the 64-bit FNV-1a of its canonical
-    /// JSON rendering, as 16 hex digits. Used as the fabric lease id and
-    /// the `shard.lease` provenance field.
-    pub fn content_hash(&self) -> String {
-        format!("{:016x}", fnv1a_64(&self.to_json().to_json_string()))
-    }
-}
-
-/// Per-shard provenance: who executed a job, under which lease epoch.
-/// Epoch 1 is the first claim of a lease; a reassignment after expiry
-/// bumps it, so `epoch > 1` in a manifest is the fingerprint of a
-/// recovered shard. In-process drivers use `worker: "local"`, `epoch: 0`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Provenance {
-    /// Worker id (`"local"` for in-process execution).
-    pub worker: String,
-    /// Lease epoch under which the job ran (0 = not lease-managed).
-    pub epoch: u64,
-    /// The job's content hash (the lease id).
-    pub lease: String,
-}
-
-impl Provenance {
-    /// In-process provenance for a job (no lease management).
-    pub fn local(spec: &JobSpec) -> Self {
-        Self {
-            worker: "local".to_string(),
-            epoch: 0,
-            lease: spec.content_hash(),
-        }
-    }
 }
 
 /// The full catalogued knob list [`execute`] clears before applying a
@@ -364,21 +229,11 @@ fn spec_enables_simcache(spec: &JobSpec) -> bool {
         .unwrap_or(false)
 }
 
-/// Runs one experiment job: spawns `<bin_dir>/<figure>` with exactly the
-/// environment the spec describes, captures stdout+stderr to
-/// `<results_dir>/<figure>.txt`, and records wall time, exit status, the
-/// JSON sidecar path (when one appeared), and the child's simcache
-/// counters (when the spec enables the cache).
-///
-/// Every catalogued `IPCP_*` variable is removed from the child
-/// environment first, so the caller's ambient knobs cannot leak into the
-/// run — serial drivers, pool threads, and fabric workers spawning the
-/// same spec produce byte-identical outputs.
-pub fn execute(spec: &JobSpec, bin_dir: &Path, results_dir: &Path) -> ExperimentOutcome {
-    let name = spec.figure.as_str();
-    let output_path = results_dir.join(format!("{name}.txt"));
-    let started = Instant::now();
-    let mut cmd = Command::new(bin_dir.join(name));
+/// The child process for a spec: `<bin_dir>/<figure>` with every
+/// catalogued `IPCP_*` variable removed, then exactly the spec's knobs
+/// applied (residual overrides last).
+fn child_command(spec: &JobSpec, bin_dir: &Path) -> Command {
+    let mut cmd = Command::new(bin_dir.join(&spec.figure));
     for knob in KNOB_NAMES {
         cmd.env_remove(knob);
     }
@@ -403,6 +258,24 @@ pub fn execute(spec: &JobSpec, bin_dir: &Path, results_dir: &Path) -> Experiment
     for (k, v) in &spec.env {
         cmd.env(k, v);
     }
+    cmd
+}
+
+/// Runs one experiment job: spawns `<bin_dir>/<figure>` with exactly the
+/// environment the spec describes, captures stdout+stderr to
+/// `<results_dir>/<figure>.txt`, and records wall time, exit status, the
+/// JSON sidecar path (when one appeared), and the child's simcache
+/// counters (when the spec enables the cache).
+///
+/// Every catalogued `IPCP_*` variable is removed from the child
+/// environment first, so the caller's ambient knobs cannot leak into the
+/// run — the serial driver and pool threads spawning the same spec
+/// produce byte-identical outputs.
+pub fn execute(spec: &JobSpec, bin_dir: &Path, results_dir: &Path) -> ExperimentOutcome {
+    let name = spec.figure.as_str();
+    let output_path = results_dir.join(format!("{name}.txt"));
+    let started = Instant::now();
+    let mut cmd = child_command(spec, bin_dir);
     // When the spec turns the simulation cache on, give the child a
     // private stats drop-off so its hit/miss counters can be folded into
     // the manifest — unless the spec routed stats somewhere itself.
@@ -431,7 +304,6 @@ pub fn execute(spec: &JobSpec, bin_dir: &Path, results_dir: &Path) -> Experiment
                 data_path,
                 spawn_error: write_err.map(|e| format!("writing output: {e}")),
                 simcache,
-                shard: None,
             }
         }
         Err(e) => ExperimentOutcome {
@@ -443,7 +315,6 @@ pub fn execute(spec: &JobSpec, bin_dir: &Path, results_dir: &Path) -> Experiment
             data_path,
             spawn_error: Some(e.to_string()),
             simcache,
-            shard: None,
         },
     }
 }
@@ -464,7 +335,22 @@ fn read_simcache_stats(path: &Path) -> Option<simcache::CacheStatsSnapshot> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
+
+    /// The environment [`child_command`] builds for `spec`: every variable
+    /// it sets (`Some`) or removes (`None`).
+    fn child_env(spec: &JobSpec) -> HashMap<String, Option<String>> {
+        let text = |s: &std::ffi::OsStr| s.to_str().unwrap().to_string();
+        child_command(spec, Path::new("bin"))
+            .get_envs()
+            .map(|(k, v)| (text(k), v.map(text)))
+            .collect()
+    }
+
+    // The spec's serialized form is the child environment `execute`
+    // builds, so the round trips below go spec -> child environment.
 
     #[test]
     fn builder_and_json_round_trip() {
@@ -480,52 +366,39 @@ mod tests {
             .json_dir("out")
             .env("IPCP_SIMCACHE", "1");
         assert_eq!(spec.scale.as_deref(), Some("2500,10000"));
-        let doc = spec.to_json();
-        let back = JobSpec::from_json(&doc).unwrap();
-        assert_eq!(back, spec, "JSON round trip must be lossless");
-        // Round trip preserves the content hash (queue file ↔ lease id).
-        assert_eq!(back.content_hash(), spec.content_hash());
+        let cmd = child_command(&spec, Path::new("bin"));
+        assert_eq!(cmd.get_program(), Path::new("bin/fig07_l1_only"));
+        let envs = child_env(&spec);
+        let set = |k: &str| envs[k].as_deref();
+        assert_eq!(set("IPCP_SCALE"), Some("2500,10000"));
+        assert_eq!(set("IPCP_MIXES"), Some("1"));
+        assert_eq!(set("IPCP_INTERVAL"), Some("5000"));
+        assert_eq!(set("IPCP_NO_FASTPATH"), Some("1"));
+        assert_eq!(set("IPCP_CSV"), Some("out/csv"));
+        assert_eq!(set("IPCP_JSON"), Some("out"));
+        assert_eq!(set("IPCP_SIMCACHE"), Some("1"));
+        // Every catalogued knob the spec leaves unset is removed, never
+        // inherited from the driver.
+        for knob in ["IPCP_JOBS", "IPCP_SIMCACHE_DIR", "IPCP_FE_FOOTPRINTS"] {
+            assert_eq!(set(knob), None, "{knob} must be cleared");
+        }
     }
 
     #[test]
     fn minimal_spec_round_trips_and_omits_defaults() {
-        let spec = JobSpec::new("table1_storage");
-        let doc = spec.to_json();
-        assert!(doc.get("scale").is_none());
-        assert!(doc.get("env").is_none());
-        assert!(doc.get("no_fastpath").is_none());
-        assert_eq!(JobSpec::from_json(&doc).unwrap(), spec);
+        let envs = child_env(&JobSpec::new("table1_storage"));
+        assert_eq!(envs.len(), KNOB_NAMES.len());
+        assert!(envs.values().all(Option::is_none), "{envs:?}");
     }
 
     #[test]
     fn empty_string_dirs_survive_round_trip() {
-        // Some("") means "explicitly disabled" and must not collapse to
-        // None (unset) across the queue.
-        let spec = JobSpec::new("fig09_mpki").json_dir("");
-        let back = JobSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(back.json_dir.as_deref(), Some(""));
-    }
-
-    #[test]
-    fn content_hash_separates_distinct_jobs() {
-        let base = JobSpec::new("fig07_l1_only");
-        let hash = |s: &JobSpec| s.content_hash();
-        assert_ne!(hash(&base), hash(&JobSpec::new("fig09_mpki")), "figure");
-        assert_ne!(
-            hash(&base),
-            hash(&base.clone().scale_spec("2500,10000").unwrap()),
-            "scale"
-        );
-        assert_ne!(hash(&base), hash(&base.clone().mixes(2)), "mixes");
-        assert_ne!(hash(&base), hash(&base.clone().interval(1000)), "interval");
-        assert_ne!(hash(&base), hash(&base.clone().no_fastpath(true)), "oracle");
-        assert_ne!(
-            hash(&base),
-            hash(&base.clone().env("IPCP_SIMCACHE", "1")),
-            "env overrides"
-        );
-        assert_eq!(hash(&base), hash(&base.clone()), "hash is stable");
-        assert_eq!(hash(&base).len(), 16, "16 hex digits");
+        // Some("") is "explicitly disabled" and must reach the child as an
+        // empty value, not collapse to unset (the binary's default).
+        let spec = JobSpec::new("fig10_coverage").csv_dir("").json_dir("");
+        let envs = child_env(&spec);
+        assert_eq!(envs["IPCP_CSV"].as_deref(), Some(""));
+        assert_eq!(envs["IPCP_JSON"].as_deref(), Some(""));
     }
 
     #[test]
@@ -536,30 +409,12 @@ mod tests {
     }
 
     #[test]
-    fn from_json_rejects_structural_garbage() {
-        assert!(JobSpec::from_json(&JsonValue::obj()).is_err(), "no figure");
-        let bad_env = JsonValue::obj()
-            .set("figure", "f")
-            .set("env", JsonValue::Arr(vec![JsonValue::Str("loose".into())]));
-        assert!(JobSpec::from_json(&bad_env).is_err(), "malformed env pair");
-    }
-
-    #[test]
     fn experiments_list_is_the_canonical_27() {
         assert_eq!(EXPERIMENTS.len(), 27);
         assert_eq!(EXPERIMENTS[0], "table1_storage");
         assert!(EXPERIMENTS.contains(&"fig15_multicore"));
         assert!(EXPERIMENTS.contains(&"fe01_l1i_mpki"));
         assert!(EXPERIMENTS.contains(&"fe04_mana_storage"));
-    }
-
-    #[test]
-    fn local_provenance_carries_the_content_hash() {
-        let spec = JobSpec::new("fig07_l1_only");
-        let p = Provenance::local(&spec);
-        assert_eq!(p.worker, "local");
-        assert_eq!(p.epoch, 0);
-        assert_eq!(p.lease, spec.content_hash());
     }
 
     #[test]

@@ -5,16 +5,15 @@
 //! machinery (scales, baselines, speedup tables), the parallel [`harness`]
 //! (worker pool, alone-IPC cache, JSON result manifests), and the
 //! jobs-first sweep surface: typed [`env`] knobs, [`jobspec`] job
-//! descriptions, the [`store`] result-store trait, and the [`fabric`]
-//! lease protocol that the `sweepd`/`sweep-worker` bins in `crates/tools`
-//! shard paper-scale sweeps over.
+//! descriptions and their spec-authoritative executor, the on-disk
+//! [`simcache`] that makes a re-run resume a killed sweep, and the
+//! [`store`] content-key hash.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod combos;
 pub mod env;
-pub mod fabric;
 pub mod harness;
 pub mod jobspec;
 pub mod runner;

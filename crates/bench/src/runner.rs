@@ -118,28 +118,6 @@ impl RunScale {
             instructions,
         })
     }
-
-    /// The scale selected by the `IPCP_SCALE` environment variable, or the
-    /// default quick scale when unset. The default regenerates every figure
-    /// in minutes; the paper uses 50 M + 200 M — `IPCP_SCALE=paper` selects
-    /// 10× deeper runs (relative orderings are stable; see DESIGN.md §4)
-    /// and `IPCP_SCALE=<warmup>,<instructions>` anything else.
-    ///
-    /// # Errors
-    ///
-    /// A set-but-malformed value is an error (see [`RunScale::parse`]);
-    /// callers are expected to fail loudly rather than run at an
-    /// unintended scale.
-    pub fn from_env() -> Result<Self, InvalidScale> {
-        match std::env::var("IPCP_SCALE") {
-            Ok(spec) => Self::parse(&spec),
-            Err(std::env::VarError::NotPresent) => Ok(Self::default()),
-            Err(std::env::VarError::NotUnicode(_)) => Err(InvalidScale {
-                spec: "<non-unicode>".to_string(),
-                reason: "value is not valid unicode".to_string(),
-            }),
-        }
-    }
 }
 
 impl Default for RunScale {
@@ -475,13 +453,8 @@ impl Experiment {
     /// malformed value this prints the offending spec and exits with
     /// status 2 — experiments must never silently run at the wrong scale.
     pub fn new(name: &str) -> Self {
-        let (scale, scale_spec) = match RunScale::from_env() {
-            Ok(s) => (s, std::env::var("IPCP_SCALE").ok()),
-            Err(e) => {
-                eprintln!("{name}: {e}");
-                std::process::exit(2);
-            }
-        };
+        let scale = crate::env::or_die(crate::env::scale());
+        let scale_spec = crate::env::or_die(crate::env::raw("IPCP_SCALE"));
         Self::with_scale_spec(name, scale, scale_spec)
     }
 

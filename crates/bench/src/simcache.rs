@@ -51,7 +51,7 @@ use std::sync::OnceLock;
 use ipcp_sim::telemetry::{FromJson, JsonValue, ToJson};
 use ipcp_sim::{SimConfig, SimReport};
 
-use crate::store::{fnv1a_64, ResultStore};
+use crate::store::fnv1a_64;
 
 /// Version tag of simulator *behavior*, part of every cache key. Bump on
 /// any change that alters any report; keep on byte-identical refactors.
@@ -174,11 +174,11 @@ impl SimCache {
         report
     }
 
-    /// Loads the raw JSON document of an entry. `Ok(None)` means "no
-    /// entry" (a clean miss); `Err` means the file exists but is
-    /// unreadable, ill-formed, or carries a different key (hash collision
-    /// / stale schema) — callers warn and recompute.
-    fn load_doc(&self, path: &Path, key: &str) -> Result<Option<JsonValue>, String> {
+    /// Loads the report of an entry. `Ok(None)` means "no entry" (a clean
+    /// miss); `Err` means the file exists but is unreadable, ill-formed,
+    /// or carries a different key (hash collision / stale schema) —
+    /// callers warn and recompute.
+    fn load_report(&self, path: &Path, key: &str) -> Result<Option<SimReport>, String> {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -194,40 +194,14 @@ impl SimCache {
             Some(_) => return Err("key mismatch (hash collision or stale entry)".to_string()),
             None => return Err("entry has no key".to_string()),
         }
-        doc.get("report")
-            .cloned()
+        let report = doc.get("report").ok_or("entry has no report")?;
+        SimReport::from_json(report)
             .map(Some)
-            .ok_or_else(|| "entry has no report".to_string())
-    }
-
-    /// [`Self::load_doc`] parsed into a typed report.
-    fn load_report(&self, path: &Path, key: &str) -> Result<Option<SimReport>, String> {
-        match self.load_doc(path, key)? {
-            None => Ok(None),
-            Some(doc) => SimReport::from_json(&doc)
-                .map(Some)
-                .map_err(|e| format!("bad report: {e}")),
-        }
+            .map_err(|e| format!("bad report: {e}"))
     }
 
     /// Writes an entry atomically: temp file in the cache dir, then rename
     /// (readers never observe a partial entry).
-    fn store_doc(&self, path: &Path, key: &str, payload: &JsonValue) -> std::io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
-        let doc = JsonValue::obj()
-            .set("schema", ENTRY_SCHEMA)
-            .set("key", key)
-            .set("report", payload.clone());
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{:016x}",
-            std::process::id(),
-            fnv1a_64(key)
-        ));
-        std::fs::write(&tmp, doc.to_json_string())?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// [`Self::store_doc`] from a typed report.
     fn store_report(&self, path: &Path, key: &str, report: &SimReport) -> std::io::Result<()> {
         // Cache entries are canonical: wakeup-scheduler observability
         // counters (`IPCP_SCHED_STATS`) and wall-clock phase timers
@@ -236,33 +210,26 @@ impl SimCache {
         // so they are stripped before publish: a warm hit replays the same
         // bytes whether or not the knobs were set when the entry was
         // produced.
-        if report.sched.is_some() || report.phases.is_some() {
+        let payload = if report.sched.is_some() || report.phases.is_some() {
             let mut canonical = report.clone();
             canonical.sched = None;
             canonical.phases = None;
-            self.store_doc(path, key, &canonical.to_json())
+            canonical.to_json()
         } else {
-            self.store_doc(path, key, &report.to_json())
-        }
-    }
-}
-
-/// The simcache as a [`ResultStore`]: the same on-disk entries
-/// (`{"schema", "key", "report"}` envelopes, full-key check on load,
-/// temp-file + rename publish) addressed as raw JSON documents. This is
-/// the surface `sweep-worker` children share with in-process runs — a
-/// report published by any worker is a cache hit for every peer.
-///
-/// Trait-mediated access does *not* touch the hit/miss/store counters;
-/// those meter the simulate-or-replay decision in
-/// [`SimCache::get_or_run`], not raw document traffic.
-impl ResultStore for SimCache {
-    fn load(&self, key: &str) -> Option<JsonValue> {
-        self.load_doc(&self.entry_path(key), key).ok().flatten()
-    }
-
-    fn publish(&self, key: &str, doc: &JsonValue) -> std::io::Result<()> {
-        self.store_doc(&self.entry_path(key), key, doc)
+            report.to_json()
+        };
+        std::fs::create_dir_all(&self.dir)?;
+        let doc = JsonValue::obj()
+            .set("schema", ENTRY_SCHEMA)
+            .set("key", key)
+            .set("report", payload);
+        let tmp = self.dir.join(format!(
+            ".tmp-{}-{:016x}",
+            std::process::id(),
+            fnv1a_64(key)
+        ));
+        std::fs::write(&tmp, doc.to_json_string())?;
+        std::fs::rename(&tmp, path)
     }
 }
 
@@ -448,43 +415,6 @@ mod tests {
         let warm = cache.get_or_run(&names, "none", &cfg, || panic!("must hit"));
         assert_eq!(warm, direct);
         assert_eq!(cache.stats().hits, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The ResultStore view and the typed get_or_run path share entries:
-    /// a report published through the trait is a cache hit for the typed
-    /// path, and vice versa.
-    #[test]
-    fn result_store_view_shares_entries_with_typed_path() {
-        let dir = tmp_dir("store-view");
-        let cache = SimCache::new(&dir);
-        let cfg = quick_cfg();
-        let traces = ipcp_workloads::memory_intensive_suite();
-        let names = [traces[0].name()];
-        let key = cache_key(&names, "ipcp", &cfg);
-
-        assert!(ResultStore::load(&cache, &key).is_none(), "cold store");
-        let direct = simulate("ipcp", &cfg);
-        cache.publish(&key, &direct.to_json()).unwrap();
-        // Trait publish fills the typed path (no counters were touched).
-        let warm = cache.get_or_run(&names, "ipcp", &cfg, || {
-            panic!("trait publish must be a typed hit")
-        });
-        assert_eq!(warm, direct);
-        assert_eq!(
-            cache.stats(),
-            CacheStatsSnapshot {
-                hits: 1,
-                misses: 0,
-                stores: 0
-            },
-            "trait traffic is unmetered; the typed hit is counted"
-        );
-        // And the typed entry reads back through the trait.
-        let doc = ResultStore::load(&cache, &key).unwrap();
-        assert_eq!(SimReport::from_json(&doc).unwrap(), direct);
-        // A different key still misses through the trait.
-        assert!(ResultStore::load(&cache, "other-key").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

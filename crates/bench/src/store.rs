@@ -1,38 +1,11 @@
-//! The [`ResultStore`] trait: one content-addressed publish/load surface
-//! shared by every result-holding layer in the harness.
-//!
-//! A store maps a caller-chosen **content key** (a string that encodes
-//! everything that can change the payload — see
-//! [`crate::simcache::cache_key`] and [`crate::jobspec::JobSpec::content_hash`])
-//! to a JSON document. The contract:
-//!
-//! * **Deterministic payloads.** Every producer in this workspace is a
-//!   pure function of its key, so two publishers racing on one key write
-//!   byte-identical documents. Stores therefore never need locking for
-//!   correctness — last-writer-wins is indistinguishable from
-//!   first-writer-wins.
-//! * **Atomic publish.** A concurrent `load` sees either nothing or a
-//!   complete document, never a torn write (directory stores go through
-//!   temp-file + rename).
-//! * **Honest misses.** `load` returns `None` for absent, corrupt, or
-//!   key-mismatched entries; callers recompute. A store degrades to a
-//!   cache miss, never to a wrong answer.
-//!
-//! Implementations: [`MemStore`] (the in-process pool's collection point),
-//! [`DirStore`] (the sweep fabric's `done/` directory), and
-//! [`crate::simcache::SimCache`] (the on-disk simulation result cache) —
-//! so serial runs, `IPCP_JOBS=N` threads, and N `sweep-worker` processes
-//! all move results through the same interface.
-
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-
-use ipcp_sim::telemetry::JsonValue;
+//! The workspace's content-key hash, shared by the simulation cache's
+//! entry filenames ([`crate::simcache`]) and the report fingerprints of
+//! `perf_smoke`.
 
 /// 64-bit FNV-1a over a string — the workspace's content-key filename
-/// hash. Not cryptographic; collisions are tolerated because stores keep
-/// the full key inside the entry and check it on load.
+/// hash. Not cryptographic; collisions are tolerated because the
+/// simulation cache keeps the full key inside each entry and checks it on
+/// load.
 pub fn fnv1a_64(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.as_bytes() {
@@ -42,170 +15,9 @@ pub fn fnv1a_64(s: &str) -> u64 {
     h
 }
 
-/// A content-addressed JSON document store. See the module docs for the
-/// determinism/atomicity contract.
-pub trait ResultStore {
-    /// The document published under `key`, or `None` when absent or
-    /// unusable (corrupt, torn, or belonging to a colliding key).
-    fn load(&self, key: &str) -> Option<JsonValue>;
-
-    /// Publishes `doc` under `key`, atomically with respect to
-    /// concurrent `load`s.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; in-memory stores never fail.
-    fn publish(&self, key: &str, doc: &JsonValue) -> std::io::Result<()>;
-}
-
-/// An in-memory store: the collection point for in-process runs (and the
-/// reference implementation for tests).
-#[derive(Debug, Default)]
-pub struct MemStore {
-    inner: Mutex<HashMap<String, JsonValue>>,
-}
-
-impl MemStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of published documents.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("store poisoned").len()
-    }
-
-    /// True when nothing has been published.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl ResultStore for MemStore {
-    fn load(&self, key: &str) -> Option<JsonValue> {
-        self.inner.lock().expect("store poisoned").get(key).cloned()
-    }
-
-    fn publish(&self, key: &str, doc: &JsonValue) -> std::io::Result<()> {
-        self.inner
-            .lock()
-            .expect("store poisoned")
-            .insert(key.to_string(), doc.clone());
-        Ok(())
-    }
-}
-
-/// Entry-file schema of a [`DirStore`] envelope.
-const DIR_ENTRY_SCHEMA: u64 = 1;
-
-/// An on-disk store: one `<fnv64-of-key>.json` file per document, each an
-/// envelope `{"schema": 1, "key": ..., "doc": ...}` so a load can verify
-/// the entry really belongs to the requested key (hash collisions and
-/// stale files degrade to misses). Writes are temp-file + rename.
-#[derive(Debug, Clone)]
-pub struct DirStore {
-    dir: PathBuf,
-}
-
-impl DirStore {
-    /// A store rooted at `dir` (created lazily on first publish).
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: dir.into() }
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The entry file a key maps to.
-    pub fn entry_path(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{:016x}.json", fnv1a_64(key)))
-    }
-}
-
-impl ResultStore for DirStore {
-    fn load(&self, key: &str) -> Option<JsonValue> {
-        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        let envelope = JsonValue::parse(&text).ok()?;
-        if envelope.get("schema").and_then(JsonValue::as_u64) != Some(DIR_ENTRY_SCHEMA) {
-            return None;
-        }
-        if envelope.get("key").and_then(JsonValue::as_str) != Some(key) {
-            return None;
-        }
-        envelope.get("doc").cloned()
-    }
-
-    fn publish(&self, key: &str, doc: &JsonValue) -> std::io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
-        let envelope = JsonValue::obj()
-            .set("schema", DIR_ENTRY_SCHEMA)
-            .set("key", key)
-            .set("doc", doc.clone());
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{:016x}",
-            std::process::id(),
-            fnv1a_64(key)
-        ));
-        std::fs::write(&tmp, envelope.to_json_string())?;
-        std::fs::rename(&tmp, self.entry_path(key))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn doc(tag: &str) -> JsonValue {
-        JsonValue::obj().set("tag", tag).set("n", 7u64)
-    }
-
-    fn exercise(store: &dyn ResultStore) {
-        assert!(store.load("k1").is_none(), "empty store must miss");
-        store.publish("k1", &doc("a")).unwrap();
-        store.publish("k2", &doc("b")).unwrap();
-        assert_eq!(store.load("k1"), Some(doc("a")));
-        assert_eq!(store.load("k2"), Some(doc("b")));
-        assert!(store.load("k3").is_none());
-        // Re-publish (the deterministic-duplicate case) is idempotent.
-        store.publish("k1", &doc("a")).unwrap();
-        assert_eq!(store.load("k1"), Some(doc("a")));
-    }
-
-    #[test]
-    fn mem_store_contract() {
-        let s = MemStore::new();
-        exercise(&s);
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn dir_store_contract_and_corruption_degrades_to_miss() {
-        let dir = std::env::temp_dir().join(format!("ipcp-dirstore-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let s = DirStore::new(&dir);
-        exercise(&s);
-
-        // A torn/corrupt entry is a miss, not an error or a wrong answer.
-        std::fs::write(s.entry_path("k1"), "{\"schema\": 1, \"key\": \"k1\", tr").unwrap();
-        assert!(s.load("k1").is_none(), "corrupt entry must miss");
-
-        // A colliding or stale entry (key mismatch inside the envelope)
-        // is also a miss.
-        let alien = JsonValue::obj()
-            .set("schema", 1u64)
-            .set("key", "other-key")
-            .set("doc", doc("x"));
-        std::fs::write(s.entry_path("k2"), alien.to_json_string()).unwrap();
-        assert!(s.load("k2").is_none(), "key-mismatched entry must miss");
-
-        // Re-publish repairs.
-        s.publish("k2", &doc("b")).unwrap();
-        assert_eq!(s.load("k2"), Some(doc("b")));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn fnv_matches_known_vector() {

@@ -391,9 +391,6 @@ pub struct System {
     /// Interval sampler (`None` unless `cfg.sample_interval` is set — the
     /// disabled path costs one `Option` check per cycle).
     sampler: Option<Sampler>,
-    /// `IPCP_DEBUG_PF` present at construction — checked once instead of
-    /// an environment lookup on every merge/prefetch event.
-    debug_pf: bool,
     /// Any attached prefetcher implements `on_cycle` (checked once at
     /// construction); when false the per-cycle hook pass is skipped.
     cycle_hooks: bool,
@@ -540,7 +537,6 @@ impl System {
             warmed_up: false,
             last_retire_cycle: 0,
             sampler,
-            debug_pf: std::env::var_os("IPCP_DEBUG_PF").is_some(),
             cycle_hooks,
             llc_pf_noop,
             pf_scratch: VecSink::new(),
@@ -1442,15 +1438,6 @@ impl System {
             ProbeResult::MshrMerge { fill_at } => {
                 self.run_l1d_prefetcher(ci, pm, pline, kind, false, false, 0);
                 let c = fill_at.max(t + l1_lat);
-                if self.debug_pf && c > t + 60 {
-                    eprintln!(
-                        "MERGE line {:#x} t {} fill {} wait {}",
-                        pline.raw(),
-                        t,
-                        fill_at,
-                        c - t
-                    );
-                }
                 let stats = &mut self.cores[ci].l1d.stats;
                 stats.miss_latency_sum += c - t;
                 stats.merge_wait_sum += c - t;
@@ -1707,14 +1694,6 @@ impl System {
                         self.cores[ci].l1d.pop_prefetch();
                         match self.resolve_l2_prefetch(ci, &qp, self.now + PF_ISSUE_LATENCY) {
                             Some(c) => {
-                                if self.debug_pf {
-                                    eprintln!(
-                                        "PF line {:#x} now {} fill {}",
-                                        qp.pline.raw(),
-                                        self.now,
-                                        c + FILL_FORWARD
-                                    );
-                                }
                                 let core = &mut self.cores[ci];
                                 core.l1d.alloc_mshr(Mshr {
                                     line: qp.pline,
@@ -2420,7 +2399,7 @@ fn fill_info(now: Cycle, m: &Mshr, evicted: Option<crate::cache::Evicted>) -> Fi
 
 /// Boolean observability knob (`IPCP_SCHED_STATS`, `IPCP_PHASE_STATS`)
 /// with the env catalogue's semantics (empty, `0`, `false`, `off`, `no`
-/// mean disabled), read once at construction like `IPCP_DEBUG_PF`.
+/// mean disabled), read once at construction.
 fn env_flag(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| {
         !matches!(

@@ -6,19 +6,21 @@
 //! the ambient `IPCP_*` environment (validated loudly up front — a typo
 //! in any knob stops the sweep before the first simulation). The driver
 //! fans the specs across an `IPCP_JOBS`-sized worker pool (default: one
-//! worker per core), executes each through [`jobspec::execute`] — the
-//! same spec-authoritative code path `sweep-worker` processes use —
-//! captures each binary's output to `results/<name>.txt`, and writes
-//! structured JSON results (`results/<name>.json` per run plus a
-//! schema-2 `results/manifest.json` with wall times, exit statuses, and
-//! per-shard provenance; in-process runs are `worker: "local"`).
+//! worker per core), executes each through the spec-authoritative
+//! [`jobspec::execute`], captures each binary's output to
+//! `results/<name>.txt`, and writes structured JSON results
+//! (`results/<name>.json` per run plus a schema-3 `results/manifest.json`
+//! with wall times, exit statuses, and simcache counters).
 //! Unless the caller already set `IPCP_JSON`, the driver routes it to the
 //! results dir so every figure also drops its machine-readable sidecar at
 //! `results/<name>.data.json`.
 //! The per-experiment text outputs are byte-identical to a serial
-//! (`IPCP_JOBS=1`) run — and to an N-process `sweepd` run: every
-//! simulation is deterministic and each binary owns its output file
-//! exclusively.
+//! (`IPCP_JOBS=1`) run: every simulation is deterministic and each binary
+//! owns its output file exclusively.
+//!
+//! Resume after a crash is a re-run: with `IPCP_SIMCACHE=1`, every
+//! simulation a killed sweep finished is on disk, and the re-run replays
+//! it instead of re-simulating.
 //!
 //! Exit status: non-zero when any experiment fails, with a failure summary
 //! on stderr — silent failures are a bug class of their own.
@@ -33,7 +35,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use ipcp_bench::jobspec::{self, JobSpec, Provenance, EXPERIMENTS};
+use ipcp_bench::jobspec::{self, JobSpec, EXPERIMENTS};
 use ipcp_bench::{env, harness};
 use ipcp_tools::Args;
 
@@ -108,7 +110,7 @@ fn main() {
         })
         .collect();
 
-    let scale_env = std::env::var("IPCP_SCALE").unwrap_or_else(|_| "default".to_string());
+    let scale_env = env::or_die(env::raw("IPCP_SCALE")).unwrap_or_else(|| "default".to_string());
     eprintln!(
         "running {} experiment(s) on {} worker(s) (IPCP_JOBS), scale {scale_env} -> {}",
         specs.len(),
@@ -118,8 +120,7 @@ fn main() {
 
     let started = Instant::now();
     let outcomes = harness::parallel_map(jobs, specs, |spec| {
-        let mut o = jobspec::execute(&spec, &bin_dir, &results_dir);
-        o.shard = Some(Provenance::local(&spec));
+        let o = jobspec::execute(&spec, &bin_dir, &results_dir);
         if o.ok {
             eprintln!("== {} ok ({:.1}s)", o.name, o.wall.as_secs_f64());
         } else {

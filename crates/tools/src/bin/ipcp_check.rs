@@ -268,10 +268,7 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let scale = RunScale::from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let scale = ipcp_bench::env::or_die(ipcp_bench::env::scale());
     let seeds: u64 = args.get_or("seeds", 2);
     let combo_names: Vec<String> = args
         .get_or("combos", "ipcp,ipcp-l1,fdip,mana-ipcp".to_string())

@@ -3,22 +3,18 @@
 //!
 //! ```text
 //! validate_results [--results-dir results] [--compare DIR]
-//!                  [--min-simcache-hits N] [--min-workers N]
-//!                  [--expect name ...]
+//!                  [--min-simcache-hits N] [--expect name ...]
 //! validate_results --bench BENCH_perf.json
 //! ```
 //!
-//! Checks that `manifest.json` parses, carries the expected schema
-//! (schema 2: every experiment entry holds a `shard` provenance block
-//! with worker id, lease epoch, and lease id), that every experiment the
-//! manifest marks as having a sidecar actually has one on disk, and that
-//! every `*.data.json` sidecar in the directory is a well-formed figure
-//! document (schema, name, scale, rectangular tables, monotone series).
+//! Checks that `manifest.json` parses, carries the expected schema (3),
+//! that every experiment the manifest marks as having a sidecar actually
+//! has one on disk, and that every `*.data.json` sidecar in the directory
+//! is a well-formed figure document (schema, name, scale, rectangular
+//! tables, monotone series).
 //! Positional `--expect` names must each appear in the manifest with
 //! `ok: true` and a sidecar — the CI job uses this to pin the subset it
-//! ran. `--min-workers N` asserts the manifest's provenance names at
-//! least `N` distinct workers — the fabric CI job uses it to prove the
-//! sweep really was sharded across processes, not absorbed by one.
+//! ran.
 //!
 //! `--bench FILE` validates a `perf_smoke` throughput record instead of a
 //! results directory: the document schema must be the supported version,
@@ -27,13 +23,13 @@
 //! (non-decreasing) in its `unix_time` stamps — append-only history, with
 //! pre-timestamp legacy entries allowed only at the front.
 //!
-//! `--compare DIR` is the simulation-cache determinism check: every
-//! positional experiment's `.txt` and `.data.json` must be byte-identical
-//! between the results dir and `DIR` (one sweep run cached, one not — any
-//! divergence means the cache changed results). `--min-simcache-hits N`
-//! asserts the manifest's aggregate cache hit counter is at least `N`
-//! (a warm CI sweep that somehow missed every entry is a silent failure
-//! of the cache, not a pass).
+//! `--compare DIR` is the determinism check: every positional
+//! experiment's `.txt` and `.data.json` must be byte-identical between the
+//! results dir and `DIR` (one sweep cached and one not, or one pooled and
+//! one serial — any divergence means the cache or the pool changed
+//! results). `--min-simcache-hits N` asserts the manifest's aggregate
+//! cache hit counter is at least `N` (a warm CI sweep that somehow missed
+//! every entry is a silent failure of the cache, not a pass).
 //!
 //! Exit status: 0 when everything validates, 1 otherwise, with one line
 //! per problem on stderr.
@@ -290,16 +286,14 @@ fn main() {
         problems: Vec::new(),
     };
 
-    // The manifest: schema, experiment list, per-shard provenance, and
-    // sidecar cross-references.
+    // The manifest: schema, experiment list, and sidecar cross-references.
     let manifest_path = dir.join("manifest.json");
     let mut manifest_names: Vec<(String, bool, bool)> = Vec::new();
     let mut manifest_hits: Option<u64> = None;
-    let mut shard_workers: Vec<String> = Vec::new();
     if let Some(manifest) = c.load(&manifest_path) {
         let loc = manifest_path.display().to_string();
-        if manifest.get("schema").and_then(JsonValue::as_u64) != Some(2) {
-            c.problem(format!("{loc}: missing or wrong \"schema\" (want 2)"));
+        if manifest.get("schema").and_then(JsonValue::as_u64) != Some(3) {
+            c.problem(format!("{loc}: missing or wrong \"schema\" (want 3)"));
         }
         match manifest.get("experiments").and_then(JsonValue::as_array) {
             Some(experiments) if !experiments.is_empty() => {
@@ -320,27 +314,6 @@ fn main() {
                             ));
                         }
                     }
-                    // Schema 2: every experiment carries its shard
-                    // provenance (who ran it, under which lease epoch).
-                    match e.get("shard") {
-                        None => c.problem(format!("{loc}: {name} has no \"shard\" provenance")),
-                        Some(shard) => {
-                            match shard.get("worker").and_then(JsonValue::as_str) {
-                                Some(w) if !w.is_empty() => shard_workers.push(w.to_string()),
-                                _ => c.problem(format!("{loc}: {name} shard has no worker id")),
-                            }
-                            if shard.get("epoch").and_then(JsonValue::as_u64).is_none() {
-                                c.problem(format!("{loc}: {name} shard has no epoch"));
-                            }
-                            if shard
-                                .get("lease")
-                                .and_then(JsonValue::as_str)
-                                .is_none_or(str::is_empty)
-                            {
-                                c.problem(format!("{loc}: {name} shard has no lease id"));
-                            }
-                        }
-                    }
                     manifest_names.push((name.to_string(), ok, data.is_some()));
                 }
             }
@@ -350,23 +323,6 @@ fn main() {
             .get("simcache")
             .and_then(|s| s.get("hits"))
             .and_then(JsonValue::as_u64);
-    }
-
-    // The sharding floor (fabric CI's "really distributed" assertion).
-    if let Some(min) = args.options.get("min-workers") {
-        let min: usize = min
-            .parse()
-            .unwrap_or_else(|_| panic!("--min-workers {min:?} is not a count"));
-        shard_workers.sort();
-        shard_workers.dedup();
-        if shard_workers.len() < min {
-            c.problem(format!(
-                "{}: provenance names {} distinct worker(s) ({:?}), required {min}",
-                manifest_path.display(),
-                shard_workers.len(),
-                shard_workers
-            ));
-        }
     }
 
     // The sweep-level cache hit floor (CI's warm-run assertion).
@@ -387,7 +343,8 @@ fn main() {
         }
     }
 
-    // Cache determinism: cached and uncached sweeps must be byte-identical.
+    // Determinism: cached and uncached, pooled and serial sweeps must be
+    // byte-identical.
     if let Some(ref_dir) = args.options.get("compare").map(PathBuf::from) {
         assert!(
             !args.positional.is_empty(),
@@ -401,7 +358,7 @@ fn main() {
                     (Ok(x), Ok(y)) => {
                         if x != y {
                             c.problem(format!(
-                                "{} differs from {} (cached vs uncached results diverge)",
+                                "{} differs from {} (results diverge)",
                                 a.display(),
                                 b.display()
                             ));
