@@ -13,10 +13,6 @@ use ipcp_bench::runner::{geomean, Cell, Experiment, RunScale, Table};
 use ipcp_sim::prefetch::{NoPrefetcher, Prefetcher};
 use ipcp_trace::TraceSource;
 
-fn ipcp_l1() -> Box<dyn Prefetcher> {
-    Box::new(IpcpL1::new(IpcpConfig::default()))
-}
-
 fn main() {
     let mut exp = Experiment::new("ext_temporal");
     // Temporal reuse only exists once the recorded sequence *repeats*, so
@@ -52,24 +48,37 @@ fn main() {
             .filter(|t| t.name().contains("irr")),
     );
 
+    // (label, construction key and L1/L2 builder); `None` is the
+    // registry `ipcp` combo.
     type MakePair = fn() -> (Box<dyn Prefetcher>, Box<dyn Prefetcher>);
-    let variants: Vec<(&str, MakePair)> = vec![
-        ("ipcp", || {
-            (ipcp_l1(), Box::new(IpcpL2::new(IpcpConfig::default())))
-        }),
-        ("isb-lite", || {
-            (Box::new(NoPrefetcher), Box::new(IsbLite::l2_default()))
-        }),
-        ("ipcp+isb", || {
-            (
-                ipcp_l1(),
-                Box::new(Duo::new(
-                    "ipcp-l2+isb",
-                    Box::new(IpcpL2::new(IpcpConfig::default())),
-                    Box::new(IsbLite::l2_default()),
-                )),
-            )
-        }),
+    let ipcp = IpcpConfig::default();
+    let variants: Vec<(&str, Option<(String, MakePair)>)> = vec![
+        ("ipcp", None),
+        (
+            "isb-lite",
+            Some((
+                "l1=none;l2=IsbLite::l2_default();llc=none".to_string(),
+                || (Box::new(NoPrefetcher), Box::new(IsbLite::l2_default())),
+            )),
+        ),
+        (
+            "ipcp+isb",
+            Some((
+                format!(
+                    "l1=IpcpL1({ipcp:?});l2=Duo(\"ipcp-l2+isb\",IpcpL2({ipcp:?}),IsbLite::l2_default());llc=none"
+                ),
+                || {
+                    (
+                        Box::new(IpcpL1::new(IpcpConfig::default())),
+                        Box::new(Duo::new(
+                            "ipcp-l2+isb",
+                            Box::new(IpcpL2::new(IpcpConfig::default())),
+                            Box::new(IsbLite::l2_default()),
+                        )),
+                    )
+                },
+            )),
+        ),
     ];
 
     let header: Vec<&str> = std::iter::once("trace")
@@ -83,9 +92,14 @@ fn main() {
     for t in &traces {
         let base = exp.baseline_ipc(t);
         let mut row = vec![Cell::text(t.name())];
-        for (vi, (name, mk)) in variants.iter().enumerate() {
-            let (l1, l2) = mk();
-            let r = exp.run_custom(name, t, l1, l2, Box::new(NoPrefetcher));
+        for (vi, (name, custom)) in variants.iter().enumerate() {
+            let r = match custom {
+                None => exp.run_ipcp(name, t, &ipcp, true),
+                Some((key, mk)) => exp.run_custom(name, key, t, || {
+                    let (l1, l2) = mk();
+                    (l1, l2, Box::new(NoPrefetcher))
+                }),
+            };
             let sp = r.ipc() / base;
             per_variant[vi].push(sp);
             row.push(Cell::f3(sp));

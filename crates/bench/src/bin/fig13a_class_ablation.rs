@@ -4,9 +4,8 @@
 //! is weak (<15%) but adds several points to the bouquet; tentative NL adds
 //! a little; the L2 adds ~5 more points on top of the L1 bouquet.
 
-use ipcp::{IpClass, IpcpConfig, IpcpL1, IpcpL2};
+use ipcp::{IpClass, IpcpConfig};
 use ipcp_bench::runner::{geomean, Cell, Experiment, Table};
-use ipcp_sim::prefetch::NoPrefetcher;
 
 fn main() {
     let mut exp = Experiment::new("fig13a_class_ablation");
@@ -36,18 +35,7 @@ fn main() {
         let mut speeds = Vec::new();
         for t in &traces {
             let base = exp.baseline_ipc(t);
-            let l2: Box<dyn ipcp_sim::prefetch::Prefetcher> = if with_l2 {
-                Box::new(IpcpL2::new(cfg.clone()))
-            } else {
-                Box::new(NoPrefetcher)
-            };
-            let r = exp.run_custom(
-                name,
-                t,
-                Box::new(IpcpL1::new(cfg.clone())),
-                l2,
-                Box::new(NoPrefetcher),
-            );
+            let r = exp.run_ipcp(name, t, &cfg, with_l2);
             speeds.push(r.ipc() / base);
         }
         table.row(vec![Cell::text(name), Cell::f3(geomean(&speeds))]);

@@ -3,7 +3,7 @@
 //! Paper's shape: the default GS > CS > CPLX order is best; demoting GS
 //! costs up to ~9% on memory-intensive traces.
 
-use ipcp::{IpClass, IpcpConfig, IpcpL1, IpcpL2};
+use ipcp::{IpClass, IpcpConfig};
 use ipcp_bench::runner::{geomean, Cell, Experiment, Table};
 
 fn main() {
@@ -27,13 +27,7 @@ fn main() {
         let mut speeds = Vec::new();
         for t in &traces {
             let base = exp.baseline_ipc(t);
-            let r = exp.run_custom(
-                name,
-                t,
-                Box::new(IpcpL1::new(cfg.clone())),
-                Box::new(IpcpL2::new(cfg.clone())),
-                Box::new(ipcp_sim::prefetch::NoPrefetcher),
-            );
+            let r = exp.run_ipcp(name, t, &cfg, true);
             speeds.push(r.ipc() / base);
         }
         table.row(vec![Cell::text(name), Cell::f3(geomean(&speeds))]);
@@ -44,13 +38,7 @@ fn main() {
         let mut speeds = Vec::new();
         for t in &traces {
             let base = exp.baseline_ipc(t);
-            let r = exp.run_custom(
-                "no metadata",
-                t,
-                Box::new(IpcpL1::new(cfg.clone())),
-                Box::new(IpcpL2::new(cfg.clone())),
-                Box::new(ipcp_sim::prefetch::NoPrefetcher),
-            );
+            let r = exp.run_ipcp("no metadata", t, &cfg, true);
             speeds.push(r.ipc() / base);
         }
         table.row(vec![Cell::text("no metadata"), Cell::f3(geomean(&speeds))]);

@@ -6,9 +6,8 @@
 //! in capacity *and* associativity, while the suite average barely moves —
 //! exactly the paper's "size the tables up only for outliers" advice.
 
-use ipcp::{IpcpConfig, IpcpL1, IpcpL2};
+use ipcp::IpcpConfig;
 use ipcp_bench::runner::{geomean, Cell, Experiment, Table};
-use ipcp_sim::prefetch::NoPrefetcher;
 use ipcp_trace::TraceSource;
 
 fn main() {
@@ -33,13 +32,7 @@ fn main() {
         let mut cactu = 1.0;
         for t in &traces {
             let base = exp.baseline_ipc(t);
-            let r = exp.run_custom(
-                label,
-                t,
-                Box::new(IpcpL1::new(cfg.clone())),
-                Box::new(IpcpL2::new(cfg.clone())),
-                Box::new(NoPrefetcher),
-            );
+            let r = exp.run_ipcp(label, t, &cfg, true);
             let sp = r.ipc() / base;
             speeds.push(sp);
             if t.name() == "cactu-bigip" {

@@ -4,9 +4,8 @@
 //! Paper's shape: only ~0.7% average improvement even at 100x — 895 bytes
 //! already captures the needed IPs (cactuBSSN-like outliers excepted).
 
-use ipcp::{IpcpConfig, IpcpL1, IpcpL2};
+use ipcp::IpcpConfig;
 use ipcp_bench::runner::{geomean, Cell, Experiment, Table};
-use ipcp_sim::prefetch::NoPrefetcher;
 use ipcp_trace::TraceSource;
 
 fn main() {
@@ -28,13 +27,7 @@ fn main() {
         let mut cactu = 1.0;
         for t in &traces {
             let base = exp.baseline_ipc(t);
-            let r = exp.run_custom(
-                label,
-                t,
-                Box::new(IpcpL1::new(cfg.clone())),
-                Box::new(IpcpL2::new(cfg.clone())),
-                Box::new(NoPrefetcher),
-            );
+            let r = exp.run_ipcp(label, t, &cfg, true);
             let sp = r.ipc() / base;
             speeds.push(sp);
             if t.name() == "cactu-bigip" {

@@ -256,6 +256,12 @@ pub fn simcache_dir() -> Result<Option<PathBuf>, EnvError> {
     dir_knob("IPCP_SIMCACHE_DIR")
 }
 
+/// `IPCP_SIMCACHE_STATS`: the file a process dumps its simulation cache
+/// counters into.
+pub fn simcache_stats() -> Result<Option<PathBuf>, EnvError> {
+    dir_knob("IPCP_SIMCACHE_STATS")
+}
+
 /// `IPCP_MIXES`: random-mix count for `fig15_multicore`.
 pub fn mixes(default: usize) -> Result<usize, EnvError> {
     parse_count("IPCP_MIXES", raw("IPCP_MIXES")?.as_deref(), default)

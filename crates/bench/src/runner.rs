@@ -29,6 +29,12 @@
 //! }
 //! ```
 //!
+//! Every simulation the builder runs goes through the [`crate::simcache`]
+//! layer: a registry combo is stored under its name
+//! ([`Experiment::run_combo`]), an explicitly constructed placement under
+//! `custom:<key>`, where the key describes the construction
+//! ([`Experiment::run_custom`], [`Experiment::run_ipcp`]).
+//!
 //! The free helpers (`run_combo`, `geomean`, `print_table`, `write_csv`,
 //! [`BaselineCache`]) remain available for tests and ad-hoc tools.
 
@@ -37,12 +43,15 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use ipcp::{IpcpConfig, IpcpL1, IpcpL2};
+use ipcp_sim::prefetch::{NoPrefetcher, Prefetcher};
 use ipcp_sim::telemetry::{JsonValue, ToJson};
-use ipcp_sim::{run_single, run_single_with_l1i, SimConfig, SimReport};
+use ipcp_sim::{run_single_with_l1i, SimConfig, SimReport};
 use ipcp_trace::TraceSource;
 use ipcp_workloads::SynthTrace;
 
-use crate::combos;
+use crate::combos::{self, Combo};
+use crate::simcache::{self, SimCache};
 
 /// Warm-up / measured instruction counts for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +146,49 @@ pub fn sample_interval_from_env() -> Option<u64> {
     crate::env::or_die(crate::env::interval())
 }
 
+/// The config of a single-core run at `scale`. `IPCP_INTERVAL` (if set)
+/// enables the interval sampler; config tweaks run afterwards, so they can
+/// still override it.
+fn run_config(scale: RunScale) -> SimConfig {
+    let mut cfg = SimConfig::default().with_instructions(scale.warmup, scale.instructions);
+    cfg.sample_interval = sample_interval_from_env();
+    cfg
+}
+
+/// One single-core simulation of `trace` at `cfg`, answered from `cache`
+/// when it holds the entry for (`trace`, `combo`, `cfg`), else built by
+/// `build` and run (and stored). `combo` is the registry name or the
+/// `custom:<key>` the entry lives under; `build` is called on a miss only.
+fn simulate(
+    cache: Option<&SimCache>,
+    trace: &SynthTrace,
+    combo: &str,
+    cfg: &SimConfig,
+    build: impl FnOnce() -> Combo,
+) -> SimReport {
+    let run = || {
+        let c = build();
+        run_single_with_l1i(cfg.clone(), trace.handle(), c.l1i, c.l1, c.l2, c.llc)
+    };
+    match cache {
+        Some(cache) => cache.get_or_run(&[trace.name()], combo, cfg, run),
+        None => run(),
+    }
+}
+
+/// [`run_combo_with`] through an explicit cache (`None`: uncached).
+fn run_combo_in(
+    cache: Option<&SimCache>,
+    combo: &str,
+    trace: &SynthTrace,
+    scale: RunScale,
+    tweak: impl FnOnce(&mut SimConfig),
+) -> SimReport {
+    let mut cfg = run_config(scale);
+    tweak(&mut cfg);
+    simulate(cache, trace, combo, &cfg, || combos::build(combo))
+}
+
 /// Runs one trace under a named combo with an optional config tweak.
 /// `IPCP_INTERVAL` (if set) enables the interval sampler before the tweak
 /// runs, so tweaks can still override it.
@@ -150,13 +202,7 @@ pub fn run_combo_with(
     scale: RunScale,
     tweak: impl FnOnce(&mut SimConfig),
 ) -> SimReport {
-    let mut cfg = SimConfig::default().with_instructions(scale.warmup, scale.instructions);
-    cfg.sample_interval = sample_interval_from_env();
-    tweak(&mut cfg);
-    crate::simcache::get_or_run(&[trace.name()], combo, &cfg, || {
-        let c = combos::build(combo);
-        run_single_with_l1i(cfg.clone(), trace.handle(), c.l1i, c.l1, c.l2, c.llc)
-    })
+    run_combo_in(simcache::global(), combo, trace, scale, tweak)
 }
 
 /// Runs one trace under a named combo at the given scale.
@@ -164,18 +210,28 @@ pub fn run_combo(combo: &str, trace: &SynthTrace, scale: RunScale) -> SimReport 
     run_combo_with(combo, trace, scale, |_| {})
 }
 
-/// Runs one trace under explicitly constructed prefetchers (for ablations
-/// that are not in the named-combo registry).
-pub fn run_custom(
-    trace: &SynthTrace,
-    scale: RunScale,
-    l1: Box<dyn ipcp_sim::prefetch::Prefetcher>,
-    l2: Box<dyn ipcp_sim::prefetch::Prefetcher>,
-    llc: Box<dyn ipcp_sim::prefetch::Prefetcher>,
-) -> SimReport {
-    let mut cfg = SimConfig::default().with_instructions(scale.warmup, scale.instructions);
-    cfg.sample_interval = sample_interval_from_env();
-    run_single(cfg, trace.handle(), l1, l2, llc)
+/// The registry combo that builds IPCP under `cfg` (at the L1, and at the
+/// L2 too when `with_l2`), if there is one.
+fn ipcp_registry_combo(cfg: &IpcpConfig, with_l2: bool) -> Option<&'static str> {
+    let default = IpcpConfig::default();
+    if *cfg == default {
+        Some(if with_l2 { "ipcp" } else { "ipcp-l1" })
+    } else if with_l2 && *cfg == default.without_metadata() {
+        Some("ipcp-nometa")
+    } else {
+        None
+    }
+}
+
+/// The construction key of IPCP under `cfg` outside the registry: the
+/// config's `Debug` form, so editing any of its fields changes the key.
+fn ipcp_custom_key(cfg: &IpcpConfig, with_l2: bool) -> String {
+    let l2 = if with_l2 {
+        format!("IpcpL2({cfg:?})")
+    } else {
+        "none".to_string()
+    };
+    format!("l1=IpcpL1({cfg:?});l2={l2};llc=none")
 }
 
 /// Geometric mean of a slice (1.0 for an empty slice).
@@ -204,6 +260,16 @@ impl BaselineCache {
     /// The report is shared: cloning the returned `Arc` is free, so callers
     /// that keep the baseline around don't copy counters or samples.
     pub fn get(&mut self, trace: &SynthTrace, scale: RunScale) -> &Arc<SimReport> {
+        self.get_in(simcache::global(), trace, scale)
+    }
+
+    /// [`BaselineCache::get`] through an explicit simulation cache.
+    fn get_in(
+        &mut self,
+        cache: Option<&SimCache>,
+        trace: &SynthTrace,
+        scale: RunScale,
+    ) -> &Arc<SimReport> {
         let key = (scale.warmup, scale.instructions);
         if self.scale_key != Some(key) {
             self.reports.clear();
@@ -212,7 +278,7 @@ impl BaselineCache {
         let name = trace.name().to_string();
         self.reports
             .entry(name)
-            .or_insert_with(|| Arc::new(run_combo("none", trace, scale)))
+            .or_insert_with(|| Arc::new(run_combo_in(cache, "none", trace, scale, |_| {})))
     }
 }
 
@@ -443,6 +509,9 @@ pub struct Experiment {
     /// default (possibly overridden by [`Experiment::default_scale`]).
     scale_spec: Option<String>,
     baselines: BaselineCache,
+    /// The simulation cache every run goes through: the process-global
+    /// one (`None` when `IPCP_SIMCACHE` is off).
+    cache: Option<&'static SimCache>,
     items: Vec<Item>,
     series: Vec<SeriesEntry>,
     sched: SchedAgg,
@@ -470,6 +539,7 @@ impl Experiment {
             scale,
             scale_spec,
             baselines: BaselineCache::new(),
+            cache: simcache::global(),
             items: Vec::new(),
             series: Vec::new(),
             sched: SchedAgg::default(),
@@ -511,22 +581,75 @@ impl Experiment {
         trace: &SynthTrace,
         tweak: impl FnOnce(&mut SimConfig),
     ) -> SimReport {
-        let r = run_combo_with(combo, trace, self.scale, tweak);
+        let r = run_combo_in(self.cache, combo, trace, self.scale, tweak);
         self.attach_series(format!("{}/{combo}", trace.name()), &r);
         r
     }
 
-    /// Runs explicitly constructed prefetchers, labeling any series
-    /// `<trace>/<label>`.
+    /// Runs prefetchers constructed outside the combo registry: `build`
+    /// returns the (L1-D, L2, LLC) prefetchers (the L1-I slot stays
+    /// empty) and is called only when the simulation cache misses. Any
+    /// series is labeled `<trace>/<label>`.
+    ///
+    /// The entry is stored under `custom:<key>`, so `key` must describe
+    /// the construction canonically: two calls share an entry exactly when
+    /// their keys match. Spell out every constructor and its arguments,
+    /// with `{cfg:?}` for any [`IpcpConfig`], so that editing what `build`
+    /// constructs changes the key by itself (see the [`crate::simcache`]
+    /// invalidation rule).
     pub fn run_custom(
         &mut self,
         label: &str,
+        key: &str,
         trace: &SynthTrace,
-        l1: Box<dyn ipcp_sim::prefetch::Prefetcher>,
-        l2: Box<dyn ipcp_sim::prefetch::Prefetcher>,
-        llc: Box<dyn ipcp_sim::prefetch::Prefetcher>,
+        build: impl FnOnce() -> (
+            Box<dyn Prefetcher>,
+            Box<dyn Prefetcher>,
+            Box<dyn Prefetcher>,
+        ),
     ) -> SimReport {
-        let r = run_custom(trace, self.scale, l1, l2, llc);
+        let cfg = run_config(self.scale);
+        let r = simulate(self.cache, trace, &format!("custom:{key}"), &cfg, || {
+            let (l1, l2, llc) = build();
+            Combo {
+                l1i: Box::new(NoPrefetcher),
+                l1,
+                l2,
+                llc,
+            }
+        });
+        self.attach_series(format!("{}/{label}", trace.name()), &r);
+        r
+    }
+
+    /// Runs IPCP under `cfg` at the L1, and at the L2 too when `with_l2`,
+    /// labeling any series `<trace>/<label>`. A config the combo registry
+    /// builds (`ipcp`, `ipcp-l1`, `ipcp-nometa`) runs as that combo, so it
+    /// shares its cache entries with every figure that names the combo;
+    /// any other config runs as a custom construction keyed by its
+    /// `Debug` form.
+    pub fn run_ipcp(
+        &mut self,
+        label: &str,
+        trace: &SynthTrace,
+        cfg: &IpcpConfig,
+        with_l2: bool,
+    ) -> SimReport {
+        let Some(combo) = ipcp_registry_combo(cfg, with_l2) else {
+            return self.run_custom(label, &ipcp_custom_key(cfg, with_l2), trace, || {
+                let l2: Box<dyn Prefetcher> = if with_l2 {
+                    Box::new(IpcpL2::new(cfg.clone()))
+                } else {
+                    Box::new(NoPrefetcher)
+                };
+                (
+                    Box::new(IpcpL1::new(cfg.clone())),
+                    l2,
+                    Box::new(NoPrefetcher),
+                )
+            });
+        };
+        let r = run_combo_in(self.cache, combo, trace, self.scale, |_| {});
         self.attach_series(format!("{}/{label}", trace.name()), &r);
         r
     }
@@ -534,12 +657,12 @@ impl Experiment {
     /// The cached no-prefetching baseline report for a trace (a shared
     /// handle — cloning it does not copy the report).
     pub fn baseline(&mut self, trace: &SynthTrace) -> Arc<SimReport> {
-        Arc::clone(self.baselines.get(trace, self.scale))
+        Arc::clone(self.baselines.get_in(self.cache, trace, self.scale))
     }
 
     /// The cached no-prefetching baseline IPC for a trace.
     pub fn baseline_ipc(&mut self, trace: &SynthTrace) -> f64 {
-        self.baselines.get(trace, self.scale).ipc()
+        self.baselines.get_in(self.cache, trace, self.scale).ipc()
     }
 
     /// Attaches a report's interval time-series (if any) to the sidecar
@@ -549,7 +672,9 @@ impl Experiment {
     pub fn attach_series(&mut self, label: impl Into<String>, report: &SimReport) {
         // Scheduler observability rides along with series attachment: every
         // run helper funnels its report through here, so a sidecar's
-        // `sched` block covers the same runs its tables do.
+        // `sched` block covers the same runs its tables do — with the
+        // simulation cache on, only those that missed (cached entries are
+        // stored without scheduler counters).
         if let Some(st) = report.sched {
             self.sched.runs += 1;
             self.sched.wakeups_fired += st.wakeups_fired;
@@ -1017,6 +1142,157 @@ mod tests {
         for key in ["instructions", "ipc", "l1d_mpki", "dram_bus_utilization"] {
             assert!(samples[0].get(key).is_some(), "sample missing {key}");
         }
+    }
+
+    const QUICK: RunScale = RunScale {
+        warmup: 2_000,
+        instructions: 10_000,
+    };
+
+    /// An experiment at [`QUICK`] scale whose runs go through a fresh
+    /// cache in a temp dir (leaked: the field wants the global's lifetime).
+    fn cached_experiment(tag: &str) -> (Experiment, &'static SimCache, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("ipcp-runner-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache: &'static SimCache = Box::leak(Box::new(SimCache::new(&dir)));
+        let mut exp = Experiment::with_scale(tag, QUICK);
+        exp.cache = Some(cache);
+        (exp, cache, dir)
+    }
+
+    fn counts(cache: &SimCache) -> (u64, u64) {
+        let s = cache.stats();
+        (s.hits, s.misses)
+    }
+
+    #[test]
+    fn custom_runs_are_cached_under_their_key() {
+        let traces = ipcp_workloads::memory_intensive_suite();
+        let t = &traces[1];
+        let cfg = IpcpConfig::with_only(&[ipcp::IpClass::Cs]);
+        let direct = ipcp_sim::run_single(
+            run_config(QUICK),
+            t.handle(),
+            Box::new(IpcpL1::new(cfg.clone())),
+            Box::new(NoPrefetcher),
+            Box::new(NoPrefetcher),
+        );
+        let (mut exp, cache, dir) = cached_experiment("custom");
+        let key = ipcp_custom_key(&cfg, false);
+        let cold = exp.run_custom("cs", &key, t, || {
+            (
+                Box::new(IpcpL1::new(cfg.clone())),
+                Box::new(NoPrefetcher),
+                Box::new(NoPrefetcher),
+            )
+        });
+        assert_eq!(cold, direct, "a keyed run equals the uncached run_single");
+        assert_eq!(counts(cache), (0, 1));
+        let warm = exp.run_custom("cs", &key, t, || panic!("a hit must not build"));
+        assert_eq!(
+            warm.to_json().to_json_string(),
+            direct.to_json().to_json_string()
+        );
+        assert_eq!(counts(cache), (1, 1));
+        // The entry is keyed by the construction, not the label.
+        let other = exp.run_custom("another label", &key, t, || panic!("must hit"));
+        assert_eq!(other, direct);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_ipcp_shares_the_registry_combos_entries() {
+        let traces = ipcp_workloads::memory_intensive_suite();
+        let t = &traces[1];
+        let (mut exp, cache, dir) = cached_experiment("registry");
+        let default = IpcpConfig::default();
+        for (combo, cfg, with_l2) in [
+            ("ipcp", default.clone(), true),
+            ("ipcp-l1", default.clone(), false),
+            ("ipcp-nometa", default.clone().without_metadata(), true),
+        ] {
+            let (hits, misses) = counts(cache);
+            let by_name = exp.run_combo(combo, t);
+            assert_eq!(counts(cache), (hits, misses + 1), "{combo} is a cold miss");
+            let by_cfg = exp.run_ipcp("variant", t, &cfg, with_l2);
+            assert_eq!(
+                counts(cache),
+                (hits + 1, misses + 1),
+                "run_ipcp must hit the {combo} entry"
+            );
+            assert_eq!(
+                by_cfg.to_json().to_json_string(),
+                by_name.to_json().to_json_string(),
+                "{combo}"
+            );
+            assert_eq!(ipcp_registry_combo(&cfg, with_l2), Some(combo));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every IPCP variant the ablation and sensitivity figures run gets a
+    /// key of its own; variants equal to a registry combo share its key.
+    #[test]
+    fn ipcp_figure_variants_have_distinct_keys() {
+        use ipcp::IpClass::{Cplx, Cs, Gs, NoClass};
+        let default = IpcpConfig::default();
+        let mut variants: Vec<(IpcpConfig, bool)> = vec![
+            // fig13a: class subsets, L1 only, plus the full bouquet.
+            (IpcpConfig::with_only(&[Cs]), false),
+            (IpcpConfig::with_only(&[Cplx]), false),
+            (IpcpConfig::with_only(&[Gs]), false),
+            (IpcpConfig::with_only(&[Cs, Cplx]), false),
+            (IpcpConfig::with_only(&[Cs, Cplx, NoClass]), false),
+            (default.clone(), false),
+            (default.clone(), true),
+            // Not a figure row: the L2 choice is part of a custom key.
+            (IpcpConfig::with_only(&[Cs]), true),
+            // fig13b: priority orders and the metadata ablation.
+            (default.clone().without_metadata(), true),
+        ];
+        for order in [
+            [Gs, Cs, Cplx],
+            [Cs, Gs, Cplx],
+            [Cplx, Cs, Gs],
+            [Cs, Cplx, Gs],
+        ] {
+            variants.push((default.clone().with_priority(order), true));
+        }
+        // sens_tables: table-size multipliers.
+        for mult in [1, 2, 4, 16] {
+            let cfg = IpcpConfig {
+                ip_table_entries: default.ip_table_entries * mult,
+                cspt_entries: default.cspt_entries * mult,
+                rst_entries: default.rst_entries * mult,
+                ..default.clone()
+            };
+            variants.push((cfg, true));
+        }
+        // sens_ip_assoc: IP-table shapes.
+        for (entries, ways) in [(64, 1), (256, 4), (1024, 16), (4096, 64)] {
+            let cfg = IpcpConfig {
+                ip_table_entries: entries,
+                ip_table_ways: ways,
+                ..default.clone()
+            };
+            variants.push((cfg, true));
+        }
+        let key = |cfg: &IpcpConfig, with_l2: bool| {
+            ipcp_registry_combo(cfg, with_l2).map_or_else(
+                || format!("custom:{}", ipcp_custom_key(cfg, with_l2)),
+                str::to_string,
+            )
+        };
+        for (i, a) in variants.iter().enumerate() {
+            for b in &variants[i + 1..] {
+                assert_eq!(
+                    key(&a.0, a.1) == key(&b.0, b.1),
+                    a == b,
+                    "keys must match exactly when constructions do:\n{a:?}\n{b:?}"
+                );
+            }
+        }
+        assert_eq!(key(&default, true), "ipcp", "the paper config is the combo");
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Every simulation in this workspace is deterministic: a [`SimReport`] is
 //! a pure function of (traces, prefetcher combo, effective [`SimConfig`],
 //! simulator code). Different figure binaries — and re-runs of the same
-//! sweep — therefore repeat identical simulations; the 23-binary default
+//! sweep — therefore repeat identical simulations; the 27-binary default
 //! sweep shares per-trace baselines, alone-IPC denominators, and whole
 //! combo runs across experiments. This module memoizes those runs on disk
-//! so a warm sweep replays them instead of re-simulating.
+//! so a warm sweep replays them instead of re-simulating. Every figure
+//! simulation is cacheable: registry combos and custom constructions
+//! alike.
 //!
 //! **Key scheme.** A cache key is the plain string
 //!
@@ -17,7 +19,22 @@
 //! The `Debug` rendering of the *effective* config (after any experiment
 //! tweak) captures every knob that can change a result — geometry,
 //! latencies, instruction counts, seeds, sample interval — so two runs
-//! share an entry only when they are the same simulation. The key is
+//! share an entry only when they are the same simulation.
+//!
+//! `<name>` is a combo-registry name, or `custom:<key>` for prefetchers
+//! a figure constructs itself (`Experiment::run_custom`). A custom key is
+//! a canonical description of the construction: every constructor with
+//! its arguments, and the `Debug` form of any `IpcpConfig`, e.g.
+//!
+//! ```text
+//! custom:l1=IpcpL1(IpcpConfig { .. });l2=Mlop::new(L2);llc=none
+//! ```
+//!
+//! so a figure that edits a table size, an associativity, a priority
+//! order or a class subset changes its key without further thought. An
+//! IPCP config the registry builds (`ipcp`, `ipcp-l1`, `ipcp-nometa`)
+//! runs under the registry name instead (`Experiment::run_ipcp`) and
+//! shares its entries with every figure that names the combo. The key is
 //! hashed (FNV-1a, 64-bit) into the entry filename, and stored verbatim
 //! inside the entry; a load compares the stored key against the requested
 //! one, so a hash collision or stale file degrades to a miss, never to a
@@ -25,7 +42,11 @@
 //!
 //! **Invalidation rule.** Any change to simulator *behavior* — anything
 //! that alters a single counter in any report — MUST bump
-//! [`SIM_BEHAVIOR_VERSION`]. Pure refactors and wall-clock optimizations
+//! [`SIM_BEHAVIOR_VERSION`]. That includes changing what a registry combo
+//! builds, and what a custom construction builds without changing its
+//! key (a new constructor argument the key does not spell out, a changed
+//! `*_default()`); a change the key does spell out needs no bump, since
+//! it lands in fresh entries. Pure refactors and wall-clock optimizations
 //! that keep reports byte-identical (the repo's standing invariant) keep
 //! the version. There is no partial invalidation: the version is part of
 //! every key, so a bump orphans the whole cache (stale files are inert and
@@ -239,7 +260,8 @@ impl SimCache {
 
 /// `Some(cache)` when `IPCP_SIMCACHE` enables caching for this process,
 /// `None` otherwise. Resolved once; changing the environment afterwards
-/// has no effect (experiment binaries read it at the first simulation).
+/// has no effect (experiment binaries resolve it when they create their
+/// `Experiment`).
 /// Parsed through the consolidated [`crate::env`] module: a malformed
 /// `IPCP_SIMCACHE` value exits loudly instead of silently disabling the
 /// cache (the pre-consolidation behavior).
@@ -258,8 +280,8 @@ pub fn global() -> Option<&'static SimCache> {
 }
 
 /// [`SimCache::get_or_run`] against the process-global cache, or a plain
-/// `run()` when caching is disabled — the one call every cacheable
-/// simulation path goes through.
+/// `run()` when caching is disabled. (`runner::Experiment` holds the
+/// global cache itself, so its tests can hand it a private one.)
 pub fn get_or_run(
     trace_names: &[&str],
     combo: &str,
@@ -274,12 +296,18 @@ pub fn get_or_run(
 
 /// When the global cache is enabled and `IPCP_SIMCACHE_STATS=<file>` is
 /// set, writes this process's counters there as a small JSON document
-/// (`{"schema": 1, "hits": ..., "misses": ..., "stores": ...}`). Failures
-/// warn on stderr; statistics must never fail an experiment.
+/// (`{"schema": 1, "hits": ..., "misses": ..., "stores": ...}`). Failures,
+/// a non-unicode path among them, warn on stderr; statistics must never
+/// fail an experiment.
 pub fn flush_stats() {
     let Some(cache) = global() else { return };
-    let Some(path) = std::env::var_os("IPCP_SIMCACHE_STATS").filter(|v| !v.is_empty()) else {
-        return;
+    let path = match crate::env::simcache_stats() {
+        Ok(Some(path)) => path,
+        Ok(None) => return,
+        Err(e) => {
+            eprintln!("warning: simcache: stats not written: {e}");
+            return;
+        }
     };
     let s = cache.stats();
     let doc = JsonValue::obj()
@@ -290,7 +318,7 @@ pub fn flush_stats() {
     if let Err(e) = std::fs::write(&path, doc.to_json_string() + "\n") {
         eprintln!(
             "warning: simcache: could not write stats to {}: {e}",
-            PathBuf::from(&path).display()
+            path.display()
         );
     }
 }

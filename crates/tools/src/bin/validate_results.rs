@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! validate_results [--results-dir results] [--compare DIR]
-//!                  [--min-simcache-hits N] [--expect name ...]
+//!                  [--min-simcache-hits N] [--max-simcache-misses N]
+//!                  [--expect name ...]
 //! validate_results --bench BENCH_perf.json
 //! ```
 //!
@@ -29,7 +30,10 @@
 //! one serial — any divergence means the cache or the pool changed
 //! results). `--min-simcache-hits N` asserts the manifest's aggregate
 //! cache hit counter is at least `N` (a warm CI sweep that somehow missed
-//! every entry is a silent failure of the cache, not a pass).
+//! every entry is a silent failure of the cache, not a pass), and
+//! `--max-simcache-misses N` that its miss counter is at most `N` (with
+//! `0` on a warm re-run, any figure that re-simulates — one whose runs
+//! bypass the cache — fails, named with its miss count).
 //!
 //! Exit status: 0 when everything validates, 1 otherwise, with one line
 //! per problem on stderr.
@@ -289,7 +293,9 @@ fn main() {
     // The manifest: schema, experiment list, and sidecar cross-references.
     let manifest_path = dir.join("manifest.json");
     let mut manifest_names: Vec<(String, bool, bool)> = Vec::new();
-    let mut manifest_hits: Option<u64> = None;
+    let mut manifest_cache: Option<JsonValue> = None;
+    // "name: misses" for every experiment whose simcache counters show a miss.
+    let mut missed_in: Vec<String> = Vec::new();
     if let Some(manifest) = c.load(&manifest_path) {
         let loc = manifest_path.display().to_string();
         if manifest.get("schema").and_then(JsonValue::as_u64) != Some(3) {
@@ -314,30 +320,50 @@ fn main() {
                             ));
                         }
                     }
+                    let misses = e
+                        .get("simcache")
+                        .and_then(|s| s.get("misses"))
+                        .and_then(JsonValue::as_u64)
+                        .unwrap_or(0);
+                    if misses > 0 {
+                        missed_in.push(format!("{name}: {misses}"));
+                    }
                     manifest_names.push((name.to_string(), ok, data.is_some()));
                 }
             }
             _ => c.problem(format!("{loc}: missing or empty \"experiments\" array")),
         }
-        manifest_hits = manifest
-            .get("simcache")
-            .and_then(|s| s.get("hits"))
-            .and_then(JsonValue::as_u64);
+        manifest_cache = manifest.get("simcache").cloned();
     }
 
-    // The sweep-level cache hit floor (CI's warm-run assertion).
-    if let Some(min) = args.options.get("min-simcache-hits") {
-        let min: u64 = min
+    // The sweep-level cache counters (CI's warm-run assertions): a hit
+    // floor, and a miss ceiling — 0 on a warm re-run means no figure
+    // re-simulated anything.
+    for (option, counter, is_floor) in [
+        ("min-simcache-hits", "hits", true),
+        ("max-simcache-misses", "misses", false),
+    ] {
+        let Some(limit) = args.options.get(option) else {
+            continue;
+        };
+        let limit: u64 = limit
             .parse()
-            .unwrap_or_else(|_| panic!("--min-simcache-hits {min:?} is not a count"));
-        match manifest_hits {
+            .unwrap_or_else(|_| panic!("--{option} {limit:?} is not a count"));
+        let loc = manifest_path.display();
+        match manifest_cache
+            .as_ref()
+            .and_then(|s| s.get(counter))
+            .and_then(JsonValue::as_u64)
+        {
             None => c.problem(format!(
-                "{}: no aggregate \"simcache\" counters (was IPCP_SIMCACHE on?)",
-                manifest_path.display()
+                "{loc}: no aggregate \"simcache\" counters (was IPCP_SIMCACHE on?)"
             )),
-            Some(hits) if hits < min => c.problem(format!(
-                "{}: simcache hits {hits} < required {min}",
-                manifest_path.display()
+            Some(n) if is_floor && n < limit => {
+                c.problem(format!("{loc}: simcache hits {n} < required {limit}"));
+            }
+            Some(n) if !is_floor && n > limit => c.problem(format!(
+                "{loc}: simcache misses {n} > allowed {limit} ({})",
+                missed_in.join(", ")
             )),
             Some(_) => {}
         }
