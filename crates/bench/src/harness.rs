@@ -148,7 +148,7 @@ impl AloneIpcCache {
 }
 
 /// The uncached alone-IPC computation: "IPC_alone(i) is the IPC of core i
-/// when it runs alone on [the] N-core system" — one core, but the N-core
+/// when it runs alone on \[the\] N-core system" — one core, but the N-core
 /// LLC capacity and DRAM. ("Uncached" is relative to [`AloneIpcCache`]'s
 /// in-memory memoization; the run still goes through the on-disk
 /// [`crate::simcache`] layer, which keys on the effective config — the

@@ -4,7 +4,7 @@
 //! library provides the named prefetcher [`combos`], the shared [`runner`]
 //! machinery (scales, baselines, speedup tables), the parallel [`harness`]
 //! (worker pool, alone-IPC cache, JSON result manifests), and the
-//! jobs-first sweep surface: typed [`env`] knobs, [`jobspec`] job
+//! jobs-first sweep surface: typed [`mod@env`] knobs, [`jobspec`] job
 //! descriptions and their spec-authoritative executor, the on-disk
 //! [`simcache`] that makes a re-run resume a killed sweep, and the
 //! [`store`] content-key hash.

@@ -43,7 +43,7 @@ pub struct CheckState {
     pub checked: u64,
     /// Total violations observed (recorded or not).
     pub violations: u64,
-    /// First [`MAX_RECORDED`] violation descriptions.
+    /// First `MAX_RECORDED` (64) violation descriptions.
     pub recorded: Vec<String>,
 }
 
@@ -65,7 +65,7 @@ impl CheckHandle {
         self.state.lock().unwrap().violations
     }
 
-    /// The recorded violation descriptions (first [`MAX_RECORDED`]).
+    /// The recorded violation descriptions (the first `MAX_RECORDED`, 64).
     pub fn recorded(&self) -> Vec<String> {
         self.state.lock().unwrap().recorded.clone()
     }

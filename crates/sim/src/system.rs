@@ -66,7 +66,7 @@ pub struct CoreSetup {
     /// L1-I (instruction-side) prefetcher. Defaults to
     /// [`crate::prefetch::NoPrefetcher`] via [`CoreSetup::new`]; a non-noop
     /// prefetcher here routes every new ifetch line through the full
-    /// [`System::ifetch`] path so its hooks fire identically under the fast
+    /// `System::ifetch` path so its hooks fire identically under the fast
     /// and naive schedulers.
     pub l1i_prefetcher: Box<dyn Prefetcher>,
     /// L1-D prefetcher.

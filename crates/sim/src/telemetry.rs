@@ -315,15 +315,20 @@ impl JsonValue {
     }
 
     /// Parses a JSON document (strict on structure, tolerant on
-    /// whitespace). Used by the round-trip tests and the `validate_results`
-    /// tool; not a general-purpose parser — no comments, no trailing
-    /// commas, `\uXXXX` escapes limited to the BMP.
+    /// whitespace). Every simulation-cache hit goes through here (the
+    /// bench crate's `simcache` parses one entry, ~3.6 KB with a ~1 KB key
+    /// string, per hit), as do `validate_results` and the round-trip
+    /// tests. The parse is linear in the document length: runs of plain
+    /// string characters are copied as slices of `text`, never
+    /// re-validated. Not a general-purpose parser — no comments, no
+    /// trailing commas, `\uXXXX` escapes limited to the BMP.
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] naming the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -359,6 +364,10 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    /// The document; runs of string characters and numbers are sliced
+    /// from it directly (it is valid UTF-8 by type).
+    text: &'a str,
+    /// `text.as_bytes()`, for the byte-level scan.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -471,8 +480,17 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next `"` or `\`
+            // in one go. Both stop bytes are ASCII, so the run ends on a
+            // char boundary of `text` and needs no UTF-8 re-validation.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
-                None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -507,15 +525,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(self.err("unterminated string")),
             }
         }
     }
@@ -536,8 +546,9 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
+        // Every byte consumed above is ASCII, so the slice is on char
+        // boundaries.
+        let s = &self.text[start..self.pos];
         if !float {
             if let Ok(v) = s.parse::<i64>() {
                 return Ok(JsonValue::Int(v));
@@ -1195,6 +1206,110 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("{\"a\": 1} extra").is_err());
         assert!(JsonValue::parse("nul").is_err());
+    }
+
+    /// Raw multi-byte UTF-8 runs — 2-, 3- and 4-byte characters, alone,
+    /// mixed with ASCII, in keys and in values — parse to the same text
+    /// and render back to the same bytes.
+    #[test]
+    fn parse_multibyte_utf8_runs() {
+        for s in [
+            "é",
+            "aé",
+            "ü€",
+            "x€y€z",
+            "😀",
+            "a😀b",
+            "é€😀 plain ß",
+            "ßßß",
+        ] {
+            let doc = JsonValue::obj()
+                .set(s, s)
+                .set("k", vec![s])
+                .to_json_string();
+            let v = JsonValue::parse(&doc).unwrap();
+            assert_eq!(v.get(s).and_then(JsonValue::as_str), Some(s), "{doc}");
+            assert_eq!(v.to_json_string(), doc);
+        }
+    }
+
+    /// Escapes at the start, middle and end of a string, back to back,
+    /// and next to multi-byte characters.
+    #[test]
+    fn parse_escapes_anywhere_in_a_string() {
+        for (doc, want) in [
+            (r#""\"a\\""#, "\"a\\"),
+            (r#""\u00e9x""#, "éx"),
+            (r#""\nab""#, "\nab"),
+            (r#""a\tb""#, "a\tb"),
+            (r#""ab\/""#, "ab/"),
+            (r#""\\\"\n\u0041\b\f\r""#, "\\\"\nA\u{8}\u{c}\r"),
+            (r#""é\u00e9€\"😀""#, "éé€\"😀"),
+        ] {
+            let v = JsonValue::parse(doc).unwrap();
+            assert_eq!(v.as_str(), Some(want), "{doc}");
+            // The canonical rendering parses back to the same value.
+            assert_eq!(JsonValue::parse(&v.to_json_string()).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn parse_empty_string() {
+        assert_eq!(JsonValue::parse(r#""""#).unwrap().as_str(), Some(""));
+        let v = JsonValue::parse(r#"{"": ""}"#).unwrap();
+        assert_eq!(v.get("").and_then(JsonValue::as_str), Some(""));
+        assert_eq!(v.to_json_string(), r#"{"": ""}"#);
+    }
+
+    /// Malformed strings fail at a pinned byte offset — among them
+    /// unterminated strings whose last character is multi-byte, where the
+    /// offset is the document length.
+    #[test]
+    fn parse_string_errors_name_their_offset() {
+        for (doc, offset, message) in [
+            ("\"aé", 4, "unterminated string"),
+            ("\"😀", 5, "unterminated string"),
+            ("{\"k\": \"x€", 11, "unterminated string"),
+            ("\"a\\", 3, "bad escape"),
+            ("\"\\q\"", 2, "bad escape"),
+            ("\"\\u00", 2, "truncated \\u escape"),
+            ("\"\\ué", 2, "truncated \\u escape"),
+            ("\"\\u00é\"", 2, "bad \\u escape"),
+            ("\"\\uD800\"", 2, "\\u escape outside the BMP"),
+            ("\"é\" x", 5, "trailing content after document"),
+        ] {
+            let e = JsonValue::parse(doc).unwrap_err();
+            assert_eq!((e.offset, e.message.as_str()), (offset, message), "{doc:?}");
+        }
+    }
+
+    /// A 1 MiB string next to a ~2 KB simcache-key-like string round-trips
+    /// byte-identically. A parser that re-validates the rest of the
+    /// document per character would scan ~0.5 TB here.
+    #[test]
+    fn parse_large_strings_round_trip() {
+        let mut blob = String::new();
+        while blob.len() < 1 << 20 {
+            blob.push_str("plain ascii é€😀 \"q\" \\ / \n\t");
+        }
+        let key = format!(
+            "v4;traces=a+b;combo=custom:l1=IpcpL1({});cfg={}",
+            "IpcpConfig { ip_table_entries: 64, cspt: 128 } ".repeat(16),
+            "SimConfig { l1d: Geometry { sets: 64, ways: 12 } } ".repeat(26)
+        );
+        assert!(key.len() > 2000, "{}", key.len());
+        let doc = JsonValue::obj()
+            .set("schema", 1u64)
+            .set("key", key.as_str())
+            .set("blob", blob.as_str())
+            .to_json_string();
+        let v = JsonValue::parse(&doc).unwrap();
+        assert_eq!(v.get("key").and_then(JsonValue::as_str), Some(key.as_str()));
+        assert_eq!(
+            v.get("blob").and_then(JsonValue::as_str),
+            Some(blob.as_str())
+        );
+        assert_eq!(v.to_json_string(), doc);
     }
 
     #[test]

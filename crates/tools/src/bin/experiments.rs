@@ -31,16 +31,24 @@
 //!
 //! With positional names only those experiments run (unknown names are an
 //! error). `--list-env` dumps every `IPCP_*` knob with its current value.
+//! Any other `--` option, or `--jobs`/`--results-dir` without a value,
+//! exits 2 with the usage before anything runs.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use ipcp_bench::jobspec::{self, JobSpec, EXPERIMENTS};
 use ipcp_bench::{env, harness};
-use ipcp_tools::Args;
+use ipcp_tools::{Args, Cli};
+
+const CLI: Cli = Cli {
+    usage: "usage: experiments [name ...] [--jobs N] [--results-dir DIR] [--list] [--list-env]",
+    options: &["jobs", "results-dir"],
+    flags: &["list", "list-env"],
+};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&CLI);
     if args.has_flag("list") {
         for name in EXPERIMENTS {
             println!("{name}");

@@ -42,7 +42,7 @@ use ipcp_sim::{
     run_single, run_single_with_l1i, CheckedPrefetcher, CoreSetup, ReplacementKind, SimConfig,
     System,
 };
-use ipcp_tools::Args;
+use ipcp_tools::{Args, Cli};
 use ipcp_trace::TraceSource;
 use ipcp_workloads::fuzz;
 use ipcp_workloads::gen::SynthTrace;
@@ -260,13 +260,16 @@ fn mc_oracle_sweep(cfg: &SimConfig, seeds: u64) -> u32 {
     failures
 }
 
+const CLI: Cli = Cli {
+    usage: "usage: ipcp_check [--seeds N] [--combos a,b] [--skip-storage] [--skip-invariants] [--skip-oracle]",
+    options: &["seeds", "combos"],
+    flags: &["skip-storage", "skip-invariants", "skip-oracle"],
+};
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&CLI);
     if !args.positional.is_empty() {
-        eprintln!(
-            "usage: ipcp_check [--seeds N] [--combos a,b] [--skip-storage] [--skip-invariants] [--skip-oracle]"
-        );
-        std::process::exit(2);
+        CLI.fail("ipcp_check takes no positional arguments");
     }
     let scale = ipcp_bench::env::or_die(ipcp_bench::env::scale());
     let seeds: u64 = args.get_or("seeds", 2);

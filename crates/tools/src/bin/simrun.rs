@@ -19,7 +19,7 @@ use std::sync::Arc;
 use ipcp_bench::combos;
 use ipcp_sim::telemetry::ToJson;
 use ipcp_sim::{run_single, SimConfig, SimReport};
-use ipcp_tools::Args;
+use ipcp_tools::{Args, Cli};
 use ipcp_trace::{TraceReader, TraceSource, VecTrace};
 
 fn load(name: &str) -> Arc<dyn TraceSource + Send + Sync> {
@@ -58,11 +58,16 @@ fn run(
     run_single(cfg, trace, c.l1, c.l2, c.llc)
 }
 
+const CLI: Cli = Cli {
+    usage: "usage: simrun <trace-name|file.trace> [--combo ipcp] [--warmup N] [--instructions N] [--baseline] [--json] [--interval N]",
+    options: &["combo", "warmup", "instructions", "interval"],
+    flags: &["baseline", "json"],
+};
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&CLI);
     let [name] = &args.positional[..] else {
-        eprintln!("usage: simrun <trace-name|file.trace> [--combo ipcp] [--warmup N] [--instructions N] [--baseline] [--json] [--interval N]");
-        std::process::exit(2);
+        CLI.fail("simrun needs exactly one trace");
     };
     let combo: String = args.get_or("combo", "ipcp".to_string());
     let warmup: u64 = args.get_or("warmup", 100_000);

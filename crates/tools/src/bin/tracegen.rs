@@ -8,11 +8,17 @@
 use std::fs::File;
 use std::io::BufWriter;
 
-use ipcp_tools::Args;
+use ipcp_tools::{Args, Cli};
 use ipcp_trace::{write_trace, TraceSource};
 
+const CLI: Cli = Cli {
+    usage: "usage: tracegen <trace-name> <out.trace> [--instructions N] | tracegen --list",
+    options: &["instructions"],
+    flags: &["list"],
+};
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&CLI);
     if args.has_flag("list") {
         println!("memory-intensive suite:");
         for t in ipcp_workloads::memory_intensive_suite() {
@@ -30,8 +36,7 @@ fn main() {
         return;
     }
     let [name, out] = &args.positional[..] else {
-        eprintln!("usage: tracegen <trace-name> <out.trace> [--instructions N] | tracegen --list");
-        std::process::exit(2);
+        CLI.fail("tracegen needs a trace name and an output file");
     };
     let n: u64 = args.get_or("instructions", 1_000_000);
     let trace = ipcp_workloads::by_name(name).unwrap_or_else(|| {

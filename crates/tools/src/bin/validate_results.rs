@@ -4,7 +4,7 @@
 //! ```text
 //! validate_results [--results-dir results] [--compare DIR]
 //!                  [--min-simcache-hits N] [--max-simcache-misses N]
-//!                  [--expect name ...]
+//!                  [name ...]
 //! validate_results --bench BENCH_perf.json
 //! ```
 //!
@@ -13,9 +13,8 @@
 //! has one on disk, and that every `*.data.json` sidecar in the directory
 //! is a well-formed figure document (schema, name, scale, rectangular
 //! tables, monotone series).
-//! Positional `--expect` names must each appear in the manifest with
-//! `ok: true` and a sidecar — the CI job uses this to pin the subset it
-//! ran.
+//! Positional names must each appear in the manifest with `ok: true` and
+//! a sidecar — the CI job uses this to pin the subset it ran.
 //!
 //! `--bench FILE` validates a `perf_smoke` throughput record instead of a
 //! results directory: the document schema must be the supported version,
@@ -36,12 +35,14 @@
 //! bypass the cache — fails, named with its miss count).
 //!
 //! Exit status: 0 when everything validates, 1 otherwise, with one line
-//! per problem on stderr.
+//! per problem on stderr; 2 with the usage on an unknown option or an
+//! option without its value (a mistyped gate such as
+//! `--max-simcache-mises` must not pass by being ignored).
 
 use std::path::{Path, PathBuf};
 
 use ipcp_sim::telemetry::JsonValue;
-use ipcp_tools::Args;
+use ipcp_tools::{Args, Cli};
 
 struct Checker {
     problems: Vec<String>,
@@ -258,8 +259,21 @@ fn check_bench(c: &mut Checker, path: &Path) {
     }
 }
 
+const CLI: Cli = Cli {
+    usage: "usage: validate_results [--results-dir DIR] [--compare DIR] [--min-simcache-hits N] \
+            [--max-simcache-misses N] [name ...]\n       validate_results --bench FILE",
+    options: &[
+        "results-dir",
+        "compare",
+        "min-simcache-hits",
+        "max-simcache-misses",
+        "bench",
+    ],
+    flags: &[],
+};
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&CLI);
 
     // --bench FILE is a standalone mode: validate the throughput record
     // and exit without touching a results directory.
