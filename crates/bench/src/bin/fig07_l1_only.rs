@@ -1,18 +1,5 @@
-//! Fig. 7 — L1-only prefetcher shoot-out on the memory-intensive suite
-//! (L2 and LLC prefetchers off).
-//!
-//! Paper's shape: IPCP outperforms every contender except Bingo-119KB
-//! (which needs 160× the storage); SPP/VLDP underperform at the L1 because
-//! they are designed for the L2's access stream.
-
-use ipcp_bench::combos::FIG7_COMBOS;
-use ipcp_bench::runner::Experiment;
+//! Runs the `fig07_l1_only` figure (see `ipcp_bench::figures`).
 
 fn main() {
-    let mut exp = Experiment::new("fig07_l1_only");
-    let traces = ipcp_workloads::memory_intensive_suite();
-    exp.speedup_comparison("Fig. 7: L1-only prefetchers", &traces, FIG7_COMBOS);
-    exp.note("paper: IPCP best-or-second (Bingo-119KB comparable at 160x the storage);");
-    exp.note("       SPP at L1 clearly below its L2 reputation.");
-    exp.finish();
+    ipcp_bench::figures::main("fig07_l1_only");
 }

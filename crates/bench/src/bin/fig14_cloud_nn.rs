@@ -1,20 +1,5 @@
-//! Fig. 14 — CloudSuite (a) and CNN/RNN (b) speedups per prefetcher.
-//!
-//! Paper's shape: all spatial prefetchers struggle on CloudSuite
-//! (temporal, not spatial, reuse — `classification` defeats everyone);
-//! the NN suite is stream-dominated and IPCP leads it.
-
-use ipcp_bench::combos::TABLE3_COMBOS;
-use ipcp_bench::runner::Experiment;
+//! Runs the `fig14_cloud_nn` figure (see `ipcp_bench::figures`).
 
 fn main() {
-    let mut exp = Experiment::new("fig14_cloud_nn");
-    let cloud = ipcp_workloads::cloud_suite();
-    exp.speedup_comparison("Fig. 14(a): CloudSuite", &cloud, TABLE3_COMBOS);
-    exp.note("paper: speedups compressed near 1.0x; classification gains nothing anywhere.");
-    exp.blank();
-    let nn = ipcp_workloads::nn_suite();
-    exp.speedup_comparison("Fig. 14(b): CNNs/RNN", &nn, TABLE3_COMBOS);
-    exp.note("paper: streaming tensor kernels: IPCP leads (up to ~2x on some nets).");
-    exp.finish();
+    ipcp_bench::figures::main("fig14_cloud_nn");
 }

@@ -1,6 +1,6 @@
 //! Named prefetcher configurations: every single-level prefetcher of
 //! Fig. 1/7 and every multi-level combination of Table III, constructible
-//! by name so the figure binaries stay declarative.
+//! by name so the figures stay declarative.
 
 use ipcp::{IpcpConfig, IpcpL1, IpcpL2};
 use ipcp_baselines::{
@@ -79,7 +79,7 @@ fn restrictive_nl(fill: FillLevel) -> Box<dyn Prefetcher> {
 ///
 /// # Panics
 ///
-/// Panics on an unknown name — a typo in a figure binary should fail loud.
+/// Panics on an unknown name — a typo in a figure should fail loud.
 pub fn build(name: &str) -> Combo {
     let ipcp_cfg = IpcpConfig::default;
     match name {

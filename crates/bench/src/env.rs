@@ -42,7 +42,7 @@ pub struct Knob {
 pub const KNOBS: &[Knob] = &[
     Knob {
         name: "IPCP_JOBS",
-        summary: "worker threads for in-process job fan-out (positive integer; default: all cores; 1 = serial reference mode)",
+        summary: "worker threads of the experiments driver's figure pool (positive integer; default: all cores; 1 = serial reference mode)",
     },
     Knob {
         name: "IPCP_SCALE",
@@ -65,16 +65,12 @@ pub const KNOBS: &[Knob] = &[
         summary: "simcache directory (default: target/simcache)",
     },
     Knob {
-        name: "IPCP_SIMCACHE_STATS",
-        summary: "file to dump this process's simcache hit/miss/store counters into (set per child by the experiments driver)",
-    },
-    Knob {
         name: "IPCP_MIXES",
         summary: "number of random 4-core mixes in fig15_multicore (non-negative integer; default 4)",
     },
     Knob {
         name: "IPCP_FE_FOOTPRINTS",
-        summary: "number of fe-deep footprint-ladder traces (smallest first) the frontend figures sweep (non-negative integer; default 4 = full ladder)",
+        summary: "number of fe-deep footprint-ladder traces (smallest first) fe01_l1i_mpki sweeps (non-negative integer; default 4 = full ladder)",
     },
     Knob {
         name: "IPCP_INTERVAL",
@@ -82,7 +78,7 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "IPCP_NO_FASTPATH",
-        summary: "boolean: run on the naive (oracle) paths with every exact-behavior fast path disabled",
+        summary: "boolean: run on the naive (oracle) paths with every exact-behavior fast path disabled (figures, ipcp_check, simrun)",
     },
     Knob {
         name: "IPCP_SCHED_STATS",
@@ -236,16 +232,6 @@ pub fn scale() -> Result<RunScale, EnvError> {
     Ok(RunScale::parse(&spec)?)
 }
 
-/// `IPCP_CSV`: per-table CSV export directory.
-pub fn csv_dir() -> Result<Option<PathBuf>, EnvError> {
-    dir_knob("IPCP_CSV")
-}
-
-/// `IPCP_JSON`: figure sidecar directory.
-pub fn json_dir() -> Result<Option<PathBuf>, EnvError> {
-    dir_knob("IPCP_JSON")
-}
-
 /// `IPCP_SIMCACHE`: whether the simulation result cache is on.
 pub fn simcache_enabled() -> Result<bool, EnvError> {
     parse_bool("IPCP_SIMCACHE", raw("IPCP_SIMCACHE")?.as_deref(), false)
@@ -256,19 +242,13 @@ pub fn simcache_dir() -> Result<Option<PathBuf>, EnvError> {
     dir_knob("IPCP_SIMCACHE_DIR")
 }
 
-/// `IPCP_SIMCACHE_STATS`: the file a process dumps its simulation cache
-/// counters into.
-pub fn simcache_stats() -> Result<Option<PathBuf>, EnvError> {
-    dir_knob("IPCP_SIMCACHE_STATS")
-}
-
 /// `IPCP_MIXES`: random-mix count for `fig15_multicore`.
 pub fn mixes(default: usize) -> Result<usize, EnvError> {
     parse_count("IPCP_MIXES", raw("IPCP_MIXES")?.as_deref(), default)
 }
 
-/// `IPCP_FE_FOOTPRINTS`: how many fe-deep footprint-ladder traces the
-/// frontend figures sweep, smallest first (so `1` is a quick smoke run
+/// `IPCP_FE_FOOTPRINTS`: how many fe-deep footprint-ladder traces
+/// `fe01_l1i_mpki` sweeps, smallest first (so `1` is a quick smoke run
 /// over the 256 KB footprint only).
 pub fn fe_footprints(default: usize) -> Result<usize, EnvError> {
     parse_count(
@@ -400,7 +380,6 @@ mod tests {
             "IPCP_JSON",
             "IPCP_SIMCACHE",
             "IPCP_SIMCACHE_DIR",
-            "IPCP_SIMCACHE_STATS",
             "IPCP_MIXES",
             "IPCP_FE_FOOTPRINTS",
             "IPCP_INTERVAL",

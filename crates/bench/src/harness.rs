@@ -1,6 +1,6 @@
-//! Parallel experiment machinery: a scoped-thread worker pool that fans
-//! independent simulation jobs across cores, a memoized alone-IPC cache for
-//! multi-core weighted-speedup experiments, and structured JSON results.
+//! Sweep machinery: the scoped-thread worker pool the `experiments`
+//! driver fans its figure jobs across, and the structured JSON results
+//! (per-job outcomes and the sweep manifest).
 //!
 //! Every simulation in this workspace is deterministic, so parallel and
 //! serial execution of the same job list produce identical results — the
@@ -12,19 +12,13 @@
 //! registry is unreachable in CI sandboxes) and the JSON goes through the
 //! workspace's shared [`JsonValue`] serializer (`ipcp_sim::telemetry`).
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use ipcp_sim::telemetry::JsonValue;
-use ipcp_sim::{CoreSetup, SimConfig, System};
-use ipcp_trace::TraceSource;
-use ipcp_workloads::SynthTrace;
 
-use crate::combos;
-use crate::runner::RunScale;
 use crate::simcache;
 
 // ---------------------------------------------------------------------
@@ -90,118 +84,15 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Alone-IPC cache
+// Figure jobs + JSON results
 // ---------------------------------------------------------------------
 
-/// Cache key: (trace name, combo, cores, warmup, instructions).
-type AloneIpcKey = (String, String, u32, u64, u64);
-
-/// Memoized per-`(trace, combo, cores, scale)` single-core "alone" IPCs —
-/// the denominators of Section VI's weighted speedup. Multi-core figures
-/// reuse the same baselines across every mix containing a trace; without
-/// the cache `fig15_multicore` recomputes each one per mix per combo.
-///
-/// Shareable across worker threads (`&self` methods, internal mutex; the
-/// lock is never held across a simulation).
-#[derive(Debug, Default)]
-pub struct AloneIpcCache {
-    inner: Mutex<HashMap<AloneIpcKey, f64>>,
-}
-
-impl AloneIpcCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of memoized entries (used by tests and reports).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache poisoned").len()
-    }
-
-    /// True when nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The alone IPC of `trace` under `combo` on an `cores`-core machine
-    /// (single active core, multi-core LLC capacity and DRAM), memoized.
-    ///
-    /// Two threads racing on the same key may both simulate, but the runs
-    /// are deterministic so they insert the same value — correctness never
-    /// depends on winning the race.
-    pub fn get(&self, trace: &SynthTrace, combo: &str, cores: u32, scale: RunScale) -> f64 {
-        let key = (
-            trace.name().to_string(),
-            combo.to_string(),
-            cores,
-            scale.warmup,
-            scale.instructions,
-        );
-        if let Some(&ipc) = self.inner.lock().expect("cache poisoned").get(&key) {
-            return ipc;
-        }
-        let ipc = alone_ipc_uncached(trace, combo, cores, scale);
-        self.inner.lock().expect("cache poisoned").insert(key, ipc);
-        ipc
-    }
-}
-
-/// The uncached alone-IPC computation: "IPC_alone(i) is the IPC of core i
-/// when it runs alone on \[the\] N-core system" — one core, but the N-core
-/// LLC capacity and DRAM. ("Uncached" is relative to [`AloneIpcCache`]'s
-/// in-memory memoization; the run still goes through the on-disk
-/// [`crate::simcache`] layer, which keys on the effective config — the
-/// scaled LLC makes these entries distinct from plain single-core runs.)
-pub fn alone_ipc_uncached(trace: &SynthTrace, combo: &str, cores: u32, scale: RunScale) -> f64 {
-    let mut cfg = SimConfig::multicore(cores).with_instructions(scale.warmup, scale.instructions);
-    cfg.cores = 1;
-    cfg.llc.size_bytes *= u64::from(cores);
-    crate::simcache::get_or_run(&[trace.name()], combo, &cfg, || {
-        let c = combos::build(combo);
-        let mut sys = System::new(
-            cfg.clone(),
-            vec![CoreSetup::new(trace.handle(), c.l1, c.l2).with_l1i_prefetcher(c.l1i)],
-            c.llc,
-        );
-        sys.run()
-    })
-    .ipc()
-}
-
-/// Runs a multi-programmed mix (one trace per core) under a named combo,
-/// through the on-disk [`crate::simcache`] layer — the key carries every
-/// trace name in core order, so permuted mixes stay distinct.
-pub fn run_mix_report(mix: &[SynthTrace], combo: &str, scale: RunScale) -> ipcp_sim::SimReport {
-    let cores = mix.len() as u32;
-    let cfg = SimConfig::multicore(cores).with_instructions(scale.warmup, scale.instructions);
-    let names: Vec<&str> = mix.iter().map(TraceSource::name).collect();
-    crate::simcache::get_or_run(&names, combo, &cfg, || {
-        let setups = mix
-            .iter()
-            .map(|t| {
-                let c = combos::build(combo);
-                CoreSetup::new(t.handle(), c.l1, c.l2).with_l1i_prefetcher(c.l1i)
-            })
-            .collect();
-        let llc = combos::build(combo).llc;
-        let mut sys = System::new(cfg.clone(), setups, llc);
-        sys.run()
-    })
-}
-
-// ---------------------------------------------------------------------
-// Experiment subprocess jobs + JSON results
-// ---------------------------------------------------------------------
-
-/// Outcome of one experiment binary run by the driver.
+/// Outcome of one figure job run by the driver.
 #[derive(Debug, Clone)]
 pub struct ExperimentOutcome {
     /// Experiment (and binary) name, e.g. `fig07_l1_only`.
     pub name: String,
-    /// Process exit code (`None` when killed by a signal or not spawnable).
-    pub exit_code: Option<i32>,
-    /// True when the process exited successfully.
+    /// True when the figure ran to the end and its text was written.
     pub ok: bool,
     /// Wall-clock duration of the run.
     pub wall: Duration,
@@ -209,10 +100,10 @@ pub struct ExperimentOutcome {
     pub output_path: PathBuf,
     /// The JSON data sidecar the experiment emitted, if one exists.
     pub data_path: Option<PathBuf>,
-    /// Spawn-level error, if the binary could not be executed at all.
-    pub spawn_error: Option<String>,
-    /// The child's simulation-cache counters, when `IPCP_SIMCACHE` was on
-    /// (collected via a per-child `IPCP_SIMCACHE_STATS` file).
+    /// Why the job failed: the figure's panic message, or the error
+    /// writing its text.
+    pub error: Option<String>,
+    /// The figure's simulation-cache counters, when `IPCP_SIMCACHE` was on.
     pub simcache: Option<simcache::CacheStatsSnapshot>,
 }
 
@@ -223,18 +114,9 @@ impl ExperimentOutcome {
         let mut v = JsonValue::obj()
             .set("name", self.name.as_str())
             .set("ok", self.ok)
-            .set(
-                "exit_code",
-                self.exit_code.map_or(JsonValue::Null, JsonValue::from),
-            )
             .set("wall_secs", round3(self.wall.as_secs_f64()))
             .set("output", self.output_path.display().to_string())
-            .set(
-                "error",
-                self.spawn_error
-                    .as_deref()
-                    .map_or(JsonValue::Null, JsonValue::from),
-            );
+            .set("error", self.error.as_deref());
         if let Some(data) = &self.data_path {
             v.insert("data", data.display().to_string());
         }
@@ -260,9 +142,9 @@ fn round3(v: f64) -> f64 {
 /// `<results_dir>/manifest.json` machine-readable summary. Outcomes appear
 /// in the manifest in the given (deterministic) order.
 ///
-/// Schema 3: the sweep's `jobs`, `scale`, `total_wall_secs` and `failed`
-/// count, aggregate `simcache` counters when any child reported them, and
-/// one [`ExperimentOutcome::to_json`] entry per experiment.
+/// Schema 4: the sweep's `jobs`, `scale`, `total_wall_secs` and `failed`
+/// count, aggregate `simcache` counters when any figure reported them,
+/// and one [`ExperimentOutcome::to_json`] entry per experiment.
 ///
 /// # Errors
 ///
@@ -282,7 +164,7 @@ pub fn write_results_json(
         )?;
     }
     let mut manifest = JsonValue::obj()
-        .set("schema", 3i64)
+        .set("schema", 4i64)
         .set("generated_by", "experiments driver (ipcp-tools)")
         .set("jobs", jobs)
         .set("scale", scale_env)
@@ -290,14 +172,16 @@ pub fn write_results_json(
         .set("failed", outcomes.iter().filter(|o| !o.ok).count());
     // Aggregate simulation-cache counters across the sweep, when any
     // experiment reported them (CI asserts on these totals).
-    let stats: Vec<_> = outcomes.iter().filter_map(|o| o.simcache).collect();
-    if !stats.is_empty() {
+    let mut stats = outcomes.iter().filter_map(|o| o.simcache).peekable();
+    if stats.peek().is_some() {
+        let mut total = simcache::CacheStatsSnapshot::default();
+        stats.for_each(|s| total += s);
         manifest.insert(
             "simcache",
             JsonValue::obj()
-                .set("hits", stats.iter().map(|s| s.hits).sum::<u64>())
-                .set("misses", stats.iter().map(|s| s.misses).sum::<u64>())
-                .set("stores", stats.iter().map(|s| s.stores).sum::<u64>()),
+                .set("hits", total.hits)
+                .set("misses", total.misses)
+                .set("stores", total.stores),
         );
     }
     let manifest = manifest.set(
@@ -313,7 +197,8 @@ pub fn write_results_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_combo;
+    use crate::runner::{Experiment, RunScale};
+    use ipcp_workloads::SynthTrace;
 
     #[test]
     fn parse_jobs_accepts_positive_counts_only() {
@@ -360,46 +245,14 @@ mod tests {
             .take(2)
             .flat_map(|t| [(t.clone(), "none"), (t.clone(), "ipcp")])
             .collect();
-        let serial = parallel_map(1, jobs.clone(), |(t, c)| run_combo(c, &t, scale));
-        let fanned = parallel_map(4, jobs, |(t, c)| run_combo(c, &t, scale));
+        let run =
+            |(t, c): (SynthTrace, &str)| Experiment::with_scale("pool", scale).run_combo(c, &t);
+        let serial = parallel_map(1, jobs.clone(), run);
+        let fanned = parallel_map(4, jobs, run);
         assert_eq!(
             serial, fanned,
             "worker count must never change simulation results"
         );
-    }
-
-    #[test]
-    fn alone_ipc_cache_matches_uncached_and_memoizes() {
-        let traces = ipcp_workloads::memory_intensive_suite();
-        let t = &traces[0];
-        let scale = RunScale {
-            warmup: 2_000,
-            instructions: 10_000,
-        };
-        let cache = AloneIpcCache::new();
-        let direct = alone_ipc_uncached(t, "none", 4, scale);
-        let via_cache = cache.get(t, "none", 4, scale);
-        assert_eq!(direct, via_cache, "cache must return the uncached value");
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(t, "none", 4, scale), direct);
-        assert_eq!(cache.len(), 1, "second lookup is a hit, not a recompute");
-        // A different core count is a different machine — distinct entry.
-        let _ = cache.get(t, "none", 8, scale);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn alone_ipc_cache_is_shareable_across_workers() {
-        let traces = ipcp_workloads::memory_intensive_suite();
-        let scale = RunScale {
-            warmup: 2_000,
-            instructions: 10_000,
-        };
-        let cache = AloneIpcCache::new();
-        let jobs: Vec<SynthTrace> = vec![traces[0].clone(); 4];
-        let ipcs = parallel_map(4, jobs, |t| cache.get(&t, "none", 4, scale));
-        assert!(ipcs.windows(2).all(|w| w[0] == w[1]));
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -409,12 +262,11 @@ mod tests {
         let outcomes = vec![
             ExperimentOutcome {
                 name: "fake_ok".into(),
-                exit_code: Some(0),
                 ok: true,
                 wall: Duration::from_millis(1234),
                 output_path: dir.join("fake_ok.txt"),
                 data_path: Some(dir.join("fake_ok.data.json")),
-                spawn_error: None,
+                error: None,
                 simcache: Some(simcache::CacheStatsSnapshot {
                     hits: 5,
                     misses: 2,
@@ -423,30 +275,32 @@ mod tests {
             },
             ExperimentOutcome {
                 name: "fake_bad".into(),
-                exit_code: Some(101),
                 ok: false,
                 wall: Duration::from_millis(10),
                 output_path: dir.join("fake_bad.txt"),
                 data_path: None,
-                spawn_error: Some("boom \"quoted\"".into()),
+                error: Some("boom \"quoted\"".into()),
                 simcache: None,
             },
         ];
         write_results_json(&dir, 3, "default", Duration::from_secs(2), &outcomes).unwrap();
         let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-        // Substring shape of the schema-3 manifest.
-        assert!(manifest.contains("\"schema\": 3"));
+        // Substring shape of the schema-4 manifest.
+        assert!(manifest.contains("\"schema\": 4"));
         assert!(manifest.contains("\"jobs\": 3"));
         assert!(manifest.contains("\"failed\": 1"));
         assert!(manifest.contains("\"name\": \"fake_ok\""));
-        assert!(manifest.contains("\"exit_code\": 101"));
+        assert!(
+            !manifest.contains("exit_code"),
+            "schema 4 has no exit codes"
+        );
         let per_run = std::fs::read_to_string(dir.join("fake_ok.json")).unwrap();
         assert!(per_run.contains("\"ok\": true"));
         assert!(per_run.contains("\"wall_secs\": 1.234"));
         // Structural round-trip through the shared parser: the manifest is
         // well-formed JSON carrying the expected values, escapes included.
         let m = JsonValue::parse(&manifest).unwrap();
-        assert_eq!(m.get("schema").unwrap().as_u64(), Some(3));
+        assert_eq!(m.get("schema").unwrap().as_u64(), Some(4));
         assert_eq!(m.get("jobs").unwrap().as_u64(), Some(3));
         assert_eq!(m.get("scale").unwrap().as_str(), Some("default"));
         assert_eq!(m.get("total_wall_secs").unwrap().as_f64(), Some(2.0));
@@ -469,9 +323,9 @@ mod tests {
         );
         assert!(exps[1].get("data").is_none());
         let p = JsonValue::parse(&per_run).unwrap();
-        assert_eq!(p.get("exit_code").unwrap().as_u64(), Some(0));
-        // Schema 3 carries no shard provenance, in the manifest entries or
-        // the per-run documents.
+        assert!(p.get("exit_code").is_none());
+        // The manifest carries no shard provenance, in its entries or the
+        // per-run documents.
         assert!(exps.iter().all(|e| e.get("shard").is_none()));
         assert!(p.get("shard").is_none());
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,12 +1,14 @@
 //! Figure/table regeneration harness for the IPCP reproduction.
 //!
-//! One binary per figure and table of the paper (see `src/bin/`); this
-//! library provides the named prefetcher [`combos`], the shared [`runner`]
-//! machinery (scales, baselines, speedup tables), the parallel [`harness`]
-//! (worker pool, alone-IPC cache, JSON result manifests), and the
-//! jobs-first sweep surface: typed [`mod@env`] knobs, [`jobspec`] job
-//! descriptions and their spec-authoritative executor, the on-disk
-//! [`simcache`] that makes a re-run resume a killed sweep, and the
+//! Every figure and table of the paper is a function in [`figures`],
+//! registered in one ordered table; the `experiments` driver runs them in
+//! its own process, and each also has a one-line binary (see `src/bin/`).
+//! This library provides the named prefetcher [`combos`], the shared
+//! [`runner`] machinery (scales, the [`runner::Experiment`] builder and
+//! its simulation memo, speedup tables), the driver's worker pool and
+//! JSON results ([`harness`]), typed [`mod@env`] knobs, the [`jobspec`]
+//! settings every figure job runs under and its in-process executor, the
+//! on-disk [`simcache`] that makes a re-run resume a killed sweep, and the
 //! [`store`] content-key hash.
 
 #![forbid(unsafe_code)]
@@ -14,6 +16,7 @@
 
 pub mod combos;
 pub mod env;
+pub mod figures;
 pub mod harness;
 pub mod jobspec;
 pub mod runner;

@@ -1,18 +1,21 @@
-//! Shared experiment machinery for the figure/table binaries.
+//! Shared experiment machinery for the figures.
 //!
-//! The centerpiece is the [`Experiment`] builder: a figure/table binary
-//! declares its name, runs simulations through the builder's helpers, and
-//! appends [`Table`]s and note lines. [`Experiment::finish`] then renders
-//! the same structure three ways:
+//! The centerpiece is the [`Experiment`] builder: a figure (see
+//! [`crate::figures`]) runs simulations through the builder's helpers and
+//! appends [`Table`]s and note lines. The builder then renders the same
+//! structure three ways:
 //!
-//! * **aligned text** on stdout (the historical, human-readable form —
-//!   byte-identical to the old per-binary `println!` output),
-//! * **CSV** per table when `IPCP_CSV=<dir>` is set,
-//! * a **JSON sidecar** (`<dir>/<name>.data.json`) when `IPCP_JSON=<dir>`
-//!   is set — schema below — carrying every table with *typed* cells plus
-//!   any interval time-series collected during the runs
-//!   (`IPCP_INTERVAL=<n>` enables the sampler for all runs made through
-//!   the builder).
+//! * **aligned text** ([`Experiment::render_text`]; the figure binaries
+//!   print it, the `experiments` driver writes it to `<name>.txt`),
+//! * **CSV** per table when the job's `csv_dir` (`IPCP_CSV`) is set,
+//! * a **JSON sidecar** (`<dir>/<name>.data.json`) when its `json_dir`
+//!   (`IPCP_JSON`) is set — schema below — carrying every table with
+//!   *typed* cells plus any interval time-series collected during the runs
+//!   (the `interval` setting, `IPCP_INTERVAL`, enables the sampler for all
+//!   runs made through the builder).
+//!
+//! Everything an experiment depends on comes in as a typed [`JobSpec`];
+//! nothing here reads the environment.
 //!
 //! Sidecar schema (`schema: 1`):
 //!
@@ -29,14 +32,13 @@
 //! }
 //! ```
 //!
-//! Every simulation the builder runs goes through the [`crate::simcache`]
-//! layer: a registry combo is stored under its name
-//! ([`Experiment::run_combo`]), an explicitly constructed placement under
-//! `custom:<key>`, where the key describes the construction
-//! ([`Experiment::run_custom`], [`Experiment::run_ipcp`]).
-//!
-//! The free helpers (`run_combo`, `geomean`, `print_table`, `write_csv`,
-//! [`BaselineCache`]) remain available for tests and ad-hoc tools.
+//! Every simulation the builder runs is keyed by [`simcache::cache_key`]:
+//! a registry combo under its name ([`Experiment::run_combo`]), an
+//! explicitly constructed placement under `custom:<key>`, where the key
+//! describes the construction ([`Experiment::run_custom`],
+//! [`Experiment::run_ipcp`]). A key runs at most once per experiment: the
+//! experiment memoizes every report it gets, in front of the on-disk
+//! [`crate::simcache`] tier (when that is on).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -46,12 +48,13 @@ use std::sync::Arc;
 use ipcp::{IpcpConfig, IpcpL1, IpcpL2};
 use ipcp_sim::prefetch::{NoPrefetcher, Prefetcher};
 use ipcp_sim::telemetry::{JsonValue, ToJson};
-use ipcp_sim::{run_single_with_l1i, SimConfig, SimReport};
+use ipcp_sim::{run_single_with_l1i, CoreSetup, SimConfig, SimReport, System};
 use ipcp_trace::TraceSource;
 use ipcp_workloads::SynthTrace;
 
 use crate::combos::{self, Combo};
-use crate::simcache::{self, SimCache};
+use crate::jobspec::JobSpec;
+use crate::simcache::{self, CacheStatsSnapshot, SimCache};
 
 /// Warm-up / measured instruction counts for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,78 +141,6 @@ impl Default for RunScale {
     }
 }
 
-/// The interval-sampler period selected by `IPCP_INTERVAL` (retired
-/// instructions per sample), or `None` when unset/empty. Parsed through
-/// the consolidated [`crate::env`] module: a malformed or zero value
-/// prints the offending value and exits with status 2 (it used to panic).
-pub fn sample_interval_from_env() -> Option<u64> {
-    crate::env::or_die(crate::env::interval())
-}
-
-/// The config of a single-core run at `scale`. `IPCP_INTERVAL` (if set)
-/// enables the interval sampler; config tweaks run afterwards, so they can
-/// still override it.
-fn run_config(scale: RunScale) -> SimConfig {
-    let mut cfg = SimConfig::default().with_instructions(scale.warmup, scale.instructions);
-    cfg.sample_interval = sample_interval_from_env();
-    cfg
-}
-
-/// One single-core simulation of `trace` at `cfg`, answered from `cache`
-/// when it holds the entry for (`trace`, `combo`, `cfg`), else built by
-/// `build` and run (and stored). `combo` is the registry name or the
-/// `custom:<key>` the entry lives under; `build` is called on a miss only.
-fn simulate(
-    cache: Option<&SimCache>,
-    trace: &SynthTrace,
-    combo: &str,
-    cfg: &SimConfig,
-    build: impl FnOnce() -> Combo,
-) -> SimReport {
-    let run = || {
-        let c = build();
-        run_single_with_l1i(cfg.clone(), trace.handle(), c.l1i, c.l1, c.l2, c.llc)
-    };
-    match cache {
-        Some(cache) => cache.get_or_run(&[trace.name()], combo, cfg, run),
-        None => run(),
-    }
-}
-
-/// [`run_combo_with`] through an explicit cache (`None`: uncached).
-fn run_combo_in(
-    cache: Option<&SimCache>,
-    combo: &str,
-    trace: &SynthTrace,
-    scale: RunScale,
-    tweak: impl FnOnce(&mut SimConfig),
-) -> SimReport {
-    let mut cfg = run_config(scale);
-    tweak(&mut cfg);
-    simulate(cache, trace, combo, &cfg, || combos::build(combo))
-}
-
-/// Runs one trace under a named combo with an optional config tweak.
-/// `IPCP_INTERVAL` (if set) enables the interval sampler before the tweak
-/// runs, so tweaks can still override it.
-///
-/// Goes through the [`crate::simcache`] layer: with `IPCP_SIMCACHE=1` the
-/// run is answered from disk when an identical simulation (same trace,
-/// combo, and effective post-tweak config) already ran.
-pub fn run_combo_with(
-    combo: &str,
-    trace: &SynthTrace,
-    scale: RunScale,
-    tweak: impl FnOnce(&mut SimConfig),
-) -> SimReport {
-    run_combo_in(simcache::global(), combo, trace, scale, tweak)
-}
-
-/// Runs one trace under a named combo at the given scale.
-pub fn run_combo(combo: &str, trace: &SynthTrace, scale: RunScale) -> SimReport {
-    run_combo_with(combo, trace, scale, |_| {})
-}
-
 /// The registry combo that builds IPCP under `cfg` (at the L1, and at the
 /// L2 too when `with_l2`), if there is one.
 fn ipcp_registry_combo(cfg: &IpcpConfig, with_l2: bool) -> Option<&'static str> {
@@ -240,46 +171,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
         return 1.0;
     }
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// A cache of per-trace baseline (no-prefetching) reports so figures that
-/// share traces do not re-run the baseline.
-#[derive(Default)]
-pub struct BaselineCache {
-    scale_key: Option<(u64, u64)>,
-    reports: HashMap<String, Arc<SimReport>>,
-}
-
-impl BaselineCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns (computing if needed) the baseline report for a trace.
-    /// The report is shared: cloning the returned `Arc` is free, so callers
-    /// that keep the baseline around don't copy counters or samples.
-    pub fn get(&mut self, trace: &SynthTrace, scale: RunScale) -> &Arc<SimReport> {
-        self.get_in(simcache::global(), trace, scale)
-    }
-
-    /// [`BaselineCache::get`] through an explicit simulation cache.
-    fn get_in(
-        &mut self,
-        cache: Option<&SimCache>,
-        trace: &SynthTrace,
-        scale: RunScale,
-    ) -> &Arc<SimReport> {
-        let key = (scale.warmup, scale.instructions);
-        if self.scale_key != Some(key) {
-            self.reports.clear();
-            self.scale_key = Some(key);
-        }
-        let name = trace.name().to_string();
-        self.reports
-            .entry(name)
-            .or_insert_with(|| Arc::new(run_combo_in(cache, "none", trace, scale, |_| {})))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -465,11 +356,6 @@ pub fn format_table(header: &[String], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Prints an aligned table: header row then data rows.
-pub fn print_table(header: &[String], rows: &[Vec<String>]) {
-    print!("{}", format_table(header, rows));
-}
-
 /// An ordered output item of an experiment.
 #[derive(Debug, Clone, PartialEq)]
 enum Item {
@@ -499,56 +385,67 @@ struct SchedAgg {
     heap_peak: u64,
 }
 
-/// One figure/table experiment: owns the run scale, the baseline cache,
-/// and the ordered output (tables and notes), and renders everything on
-/// [`Experiment::finish`]. See the module docs for the three output forms.
+/// One figure/table experiment: owns its settings, the run scale, the
+/// memo of its simulations, and the ordered output (tables and notes).
+/// See the module docs for the three output forms.
 pub struct Experiment {
     name: String,
+    spec: JobSpec,
     scale: RunScale,
-    /// The raw `IPCP_SCALE` spec, or `None` when the scale came from the
-    /// default (possibly overridden by [`Experiment::default_scale`]).
-    scale_spec: Option<String>,
-    baselines: BaselineCache,
-    /// The simulation cache every run goes through: the process-global
-    /// one (`None` when `IPCP_SIMCACHE` is off).
+    /// The on-disk tier every run goes through: the process-global cache
+    /// (`None` when `IPCP_SIMCACHE` is off).
     cache: Option<&'static SimCache>,
+    /// What this experiment's disk-tier lookups did.
+    cache_stats: CacheStatsSnapshot,
+    /// Every report this experiment got, by [`simcache::cache_key`], as a
+    /// disk-tier hit returns it ([`simcache::canonical`]).
+    memo: HashMap<String, SimReport>,
     items: Vec<Item>,
     series: Vec<SeriesEntry>,
     sched: SchedAgg,
 }
 
 impl Experiment {
-    /// Starts an experiment, resolving the scale from `IPCP_SCALE`. On a
-    /// malformed value this prints the offending spec and exits with
-    /// status 2 — experiments must never silently run at the wrong scale.
-    pub fn new(name: &str) -> Self {
-        let scale = crate::env::or_die(crate::env::scale());
-        let scale_spec = crate::env::or_die(crate::env::raw("IPCP_SCALE"));
-        Self::with_scale_spec(name, scale, scale_spec)
-    }
-
-    /// Starts an experiment at an explicit scale, ignoring the environment
-    /// (used by tests).
-    pub fn with_scale(name: &str, scale: RunScale) -> Self {
-        Self::with_scale_spec(name, scale, None)
-    }
-
-    fn with_scale_spec(name: &str, scale: RunScale, scale_spec: Option<String>) -> Self {
+    /// Starts experiment `name` under `spec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec.scale` is not a valid `IPCP_SCALE` spec
+    /// ([`JobSpec::from_ambient`] and [`JobSpec::scale_spec`] reject those
+    /// up front).
+    pub fn new(name: &str, spec: &JobSpec) -> Self {
+        let scale = spec.scale.as_deref().map_or_else(RunScale::default, |s| {
+            RunScale::parse(s).unwrap_or_else(|e| panic!("{e}"))
+        });
         Self {
             name: name.to_string(),
+            spec: spec.clone(),
             scale,
-            scale_spec,
-            baselines: BaselineCache::new(),
             cache: simcache::global(),
+            cache_stats: CacheStatsSnapshot::default(),
+            memo: HashMap::new(),
             items: Vec::new(),
             series: Vec::new(),
             sched: SchedAgg::default(),
         }
     }
 
-    /// The experiment name (binary name, sidecar stem).
+    /// Starts an experiment at an explicit scale under default settings
+    /// (used by tests).
+    pub fn with_scale(name: &str, scale: RunScale) -> Self {
+        let mut exp = Self::new(name, &JobSpec::default());
+        exp.scale = scale;
+        exp
+    }
+
+    /// The experiment name (figure name, output stem).
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The settings the experiment runs under.
+    pub fn spec(&self) -> &JobSpec {
+        &self.spec
     }
 
     /// The resolved run scale.
@@ -556,17 +453,83 @@ impl Experiment {
         self.scale
     }
 
-    /// Overrides the scale used when `IPCP_SCALE` is *unset* — for
-    /// experiments whose defaults differ from the global quick scale
-    /// (fig15's mixes, ext_temporal's long recurrence distances). An
-    /// explicit `IPCP_SCALE` still wins.
+    /// What this experiment's simulation-cache lookups did, or `None` when
+    /// the cache is off.
+    pub fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
+        self.cache.map(|_| self.cache_stats)
+    }
+
+    /// Overrides the scale used when the spec sets none — for experiments
+    /// whose defaults differ from the global quick scale (fig15's mixes,
+    /// ext_temporal's long recurrence distances). An explicit `IPCP_SCALE`
+    /// still wins.
     pub fn default_scale(&mut self, scale: RunScale) {
-        if self.scale_spec.is_none() {
+        if self.spec.scale.is_none() {
             self.scale = scale;
         }
     }
 
     // -- running simulations ------------------------------------------
+
+    /// Applies the settings every simulation runs under to `cfg`: the
+    /// experiment scale, and the naive (oracle) paths when the spec asks.
+    fn configure(&self, cfg: SimConfig) -> SimConfig {
+        let mut cfg = cfg.with_instructions(self.scale.warmup, self.scale.instructions);
+        cfg.no_fastpath = self.spec.no_fastpath;
+        cfg
+    }
+
+    /// The config of a single-core run. The interval sampler is on when
+    /// the spec sets an interval; config tweaks run afterwards, so they can
+    /// still override it.
+    fn run_config(&self) -> SimConfig {
+        let mut cfg = self.configure(SimConfig::default());
+        cfg.sample_interval = self.spec.interval;
+        cfg
+    }
+
+    /// One simulation of `traces` (one per core) under `combo` at `cfg`:
+    /// from the memo when this experiment already has the report, else
+    /// from the disk tier (when on), else `run`. A memo hit returns what a
+    /// disk hit would ([`simcache::canonical`]); only disk-tier lookups
+    /// count in [`Experiment::cache_stats`].
+    fn simulate(
+        &mut self,
+        traces: &[&str],
+        combo: &str,
+        cfg: &SimConfig,
+        run: impl FnOnce() -> SimReport,
+    ) -> SimReport {
+        let key = simcache::cache_key(traces, combo, cfg);
+        if let Some(report) = self.memo.get(&key) {
+            return report.clone();
+        }
+        let report = match self.cache {
+            Some(cache) => {
+                let (report, did) = cache.lookup(&key, run);
+                self.cache_stats += did;
+                report
+            }
+            None => run(),
+        };
+        self.memo.insert(key, simcache::canonical(&report));
+        report
+    }
+
+    /// One single-core simulation of `trace` at `cfg`; `build` constructs
+    /// the prefetchers when it has to run.
+    fn simulate_single(
+        &mut self,
+        trace: &SynthTrace,
+        combo: &str,
+        cfg: &SimConfig,
+        build: impl FnOnce() -> Combo,
+    ) -> SimReport {
+        self.simulate(&[trace.name()], combo, cfg, || {
+            let c = build();
+            run_single_with_l1i(cfg.clone(), trace.handle(), c.l1i, c.l1, c.l2, c.llc)
+        })
+    }
 
     /// Runs `trace` under `combo` at the experiment scale, collecting any
     /// interval series under the label `<trace>/<combo>`.
@@ -581,14 +544,16 @@ impl Experiment {
         trace: &SynthTrace,
         tweak: impl FnOnce(&mut SimConfig),
     ) -> SimReport {
-        let r = run_combo_in(self.cache, combo, trace, self.scale, tweak);
+        let mut cfg = self.run_config();
+        tweak(&mut cfg);
+        let r = self.simulate_single(trace, combo, &cfg, || combos::build(combo));
         self.attach_series(format!("{}/{combo}", trace.name()), &r);
         r
     }
 
     /// Runs prefetchers constructed outside the combo registry: `build`
     /// returns the (L1-D, L2, LLC) prefetchers (the L1-I slot stays
-    /// empty) and is called only when the simulation cache misses. Any
+    /// empty) and is called only when the simulation has to run. Any
     /// series is labeled `<trace>/<label>`.
     ///
     /// The entry is stored under `custom:<key>`, so `key` must describe
@@ -608,8 +573,8 @@ impl Experiment {
             Box<dyn Prefetcher>,
         ),
     ) -> SimReport {
-        let cfg = run_config(self.scale);
-        let r = simulate(self.cache, trace, &format!("custom:{key}"), &cfg, || {
+        let cfg = self.run_config();
+        let r = self.simulate_single(trace, &format!("custom:{key}"), &cfg, || {
             let (l1, l2, llc) = build();
             Combo {
                 l1i: Box::new(NoPrefetcher),
@@ -649,20 +614,58 @@ impl Experiment {
                 )
             });
         };
-        let r = run_combo_in(self.cache, combo, trace, self.scale, |_| {});
+        let run_cfg = self.run_config();
+        let r = self.simulate_single(trace, combo, &run_cfg, || combos::build(combo));
         self.attach_series(format!("{}/{label}", trace.name()), &r);
         r
     }
 
-    /// The cached no-prefetching baseline report for a trace (a shared
-    /// handle — cloning it does not copy the report).
-    pub fn baseline(&mut self, trace: &SynthTrace) -> Arc<SimReport> {
-        Arc::clone(self.baselines.get_in(self.cache, trace, self.scale))
+    /// The no-prefetching baseline report for a trace (simulated once per
+    /// experiment, like every key).
+    pub fn baseline(&mut self, trace: &SynthTrace) -> SimReport {
+        let cfg = self.run_config();
+        self.simulate_single(trace, "none", &cfg, || combos::build("none"))
     }
 
-    /// The cached no-prefetching baseline IPC for a trace.
+    /// The no-prefetching baseline IPC for a trace.
     pub fn baseline_ipc(&mut self, trace: &SynthTrace) -> f64 {
-        self.baselines.get_in(self.cache, trace, self.scale).ipc()
+        self.baseline(trace).ipc()
+    }
+
+    /// Runs a multi-programmed mix (one trace per core) under a named
+    /// combo. The key carries every trace name in core order, so permuted
+    /// mixes stay distinct.
+    pub fn run_mix(&mut self, mix: &[SynthTrace], combo: &str) -> SimReport {
+        let cfg = self.configure(SimConfig::multicore(mix.len() as u32));
+        let names: Vec<&str> = mix.iter().map(TraceSource::name).collect();
+        self.simulate(&names, combo, &cfg, || {
+            let setups = mix
+                .iter()
+                .map(|t| {
+                    let c = combos::build(combo);
+                    CoreSetup::new(t.handle(), c.l1, c.l2).with_l1i_prefetcher(c.l1i)
+                })
+                .collect();
+            let llc = combos::build(combo).llc;
+            System::new(cfg.clone(), setups, llc).run()
+        })
+    }
+
+    /// The alone IPC of `trace` under `combo` on a `cores`-core machine —
+    /// the denominator of Section VI's weighted speedup: "IPC_alone(i) is
+    /// the IPC of core i when it runs alone on \[the\] N-core system", one
+    /// core but the N-core LLC capacity and DRAM. The scaled LLC keeps
+    /// these keys distinct from plain single-core runs.
+    pub fn alone_ipc(&mut self, trace: &SynthTrace, combo: &str, cores: u32) -> f64 {
+        let mut cfg = self.configure(SimConfig::multicore(cores));
+        cfg.cores = 1;
+        cfg.llc.size_bytes *= u64::from(cores);
+        self.simulate(&[trace.name()], combo, &cfg, || {
+            let c = combos::build(combo);
+            let core = CoreSetup::new(trace.handle(), c.l1, c.l2).with_l1i_prefetcher(c.l1i);
+            System::new(cfg.clone(), vec![core], c.llc).run()
+        })
+        .ipc()
     }
 
     /// Attaches a report's interval time-series (if any) to the sidecar
@@ -710,12 +713,6 @@ impl Experiment {
     /// The standard speedup comparison: every trace × every combo,
     /// normalized to no prefetching, as a table with a geomean footer.
     /// Returns per-combo speedup lists in trace order.
-    ///
-    /// The (trace × combo) simulations — including the per-trace
-    /// baselines — are independent, so they fan out across `IPCP_JOBS`
-    /// workers through [`crate::harness::parallel_map`]. Results are
-    /// assembled in input order and every simulation is deterministic, so
-    /// the output is byte-identical for any worker count.
     pub fn speedup_comparison(
         &mut self,
         title: &str,
@@ -723,21 +720,13 @@ impl Experiment {
         combo_names: &[&str],
     ) -> HashMap<String, Vec<f64>> {
         let scale = self.scale;
-        // One baseline job per trace, then one job per (trace, combo).
-        let mut jobs: Vec<(SynthTrace, String)> = Vec::new();
+        // Per trace, the baseline and then each combo.
+        let mut reports = Vec::new();
         for trace in traces {
-            jobs.push((trace.clone(), "none".to_string()));
+            reports.push(self.run_combo("none", trace));
             for &combo in combo_names {
-                jobs.push((trace.clone(), combo.to_string()));
+                reports.push(self.run_combo(combo, trace));
             }
-        }
-        let reports = crate::harness::parallel_map(
-            crate::harness::jobs_from_env(),
-            jobs.clone(),
-            |(t, c)| run_combo(&c, &t, scale),
-        );
-        for ((trace, combo), report) in jobs.iter().zip(&reports) {
-            self.attach_series(format!("{}/{combo}", trace.name()), report);
         }
         let mut results: HashMap<String, Vec<f64>> = HashMap::new();
         let mut columns = vec!["trace"];
@@ -769,7 +758,8 @@ impl Experiment {
 
     // -- rendering -----------------------------------------------------
 
-    /// The aligned-text rendering (exactly what `finish` prints).
+    /// The aligned-text rendering (what a figure binary prints and the
+    /// driver writes to `<name>.txt`).
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for item in &self.items {
@@ -802,10 +792,7 @@ impl Experiment {
                 JsonValue::obj()
                     .set("warmup", self.scale.warmup)
                     .set("instructions", self.scale.instructions)
-                    .set(
-                        "spec",
-                        self.scale_spec.clone().unwrap_or_else(|| "default".into()),
-                    ),
+                    .set("spec", self.spec.scale.as_deref().unwrap_or("default")),
             )
             .set(
                 "tables",
@@ -904,27 +891,27 @@ impl Experiment {
         Ok(())
     }
 
-    /// Renders everything: aligned text to stdout, CSVs when
-    /// `IPCP_CSV=<dir>` is set, the JSON sidecar when `IPCP_JSON=<dir>` is
-    /// set (an empty value disables it). Render failures on the CSV/JSON
-    /// side paths warn but do not fail the experiment.
-    pub fn finish(self) {
-        print!("{}", self.render_text());
-        crate::simcache::flush_stats();
-        if let Some(dir) = crate::env::or_die(crate::env::csv_dir()) {
+    /// Writes the CSVs when the spec's `csv_dir` is set and the JSON
+    /// sidecar when its `json_dir` is (an empty value disables either).
+    /// Returns the sidecar's path when one was written. Failures warn on
+    /// stderr but do not fail the experiment.
+    pub fn write_outputs(&self) -> Option<PathBuf> {
+        let dir = |d: &Option<String>| d.as_deref().filter(|d| !d.is_empty()).map(PathBuf::from);
+        if let Some(dir) = dir(&self.spec.csv_dir) {
             if let Err(e) = self.write_csvs(&dir) {
                 eprintln!("warning: could not write CSVs to {}: {e}", dir.display());
             }
         }
-        if let Some(dir) = crate::env::or_die(crate::env::json_dir()) {
-            if let Err(e) = self.write_sidecar(&dir) {
+        let dir = dir(&self.spec.json_dir)?;
+        self.write_sidecar(&dir)
+            .map_err(|e| {
                 eprintln!(
                     "warning: could not write {}.data.json to {}: {e}",
                     self.name,
                     dir.display()
                 );
-            }
-        }
+            })
+            .ok()
     }
 }
 
@@ -1013,10 +1000,17 @@ mod tests {
             warmup: 5_000,
             instructions: 20_000,
         };
-        let mut cache = BaselineCache::new();
-        let a = cache.get(t, scale).ipc();
-        let b = cache.get(t, scale).ipc();
-        assert_eq!(a, b);
+        let mut exp = Experiment::with_scale("baselines", scale);
+        let a = exp.baseline(t);
+        assert_eq!(exp.memo.len(), 1);
+        assert_eq!(exp.baseline(t), a);
+        assert_eq!(exp.baseline_ipc(t), a.ipc());
+        // The registry `none` run is the same simulation, so the same key.
+        assert_eq!(exp.run_combo("none", t), a);
+        assert_eq!(exp.memo.len(), 1, "repeated lookups are memo hits");
+        let c = combos::build("none");
+        let direct = run_single_with_l1i(exp.run_config(), t.handle(), c.l1i, c.l1, c.l2, c.llc);
+        assert_eq!(a, direct, "the memo returns the uncached report");
     }
 
     #[test]
@@ -1026,7 +1020,7 @@ mod tests {
             warmup: 5_000,
             instructions: 20_000,
         };
-        let r = run_combo("ipcp", &traces[1], scale);
+        let r = Experiment::with_scale("smoke", scale).run_combo("ipcp", &traces[1]);
         assert!(r.ipc() > 0.0);
         assert!(r.cores[0].l1d.pf_issued > 0);
     }
@@ -1149,19 +1143,23 @@ mod tests {
         instructions: 10_000,
     };
 
-    /// An experiment at [`QUICK`] scale whose runs go through a fresh
-    /// cache in a temp dir (leaked: the field wants the global's lifetime).
-    fn cached_experiment(tag: &str) -> (Experiment, &'static SimCache, PathBuf) {
-        let dir = std::env::temp_dir().join(format!("ipcp-runner-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache: &'static SimCache = Box::leak(Box::new(SimCache::new(&dir)));
+    /// An experiment at [`QUICK`] scale whose runs go through `cache`.
+    fn cached_experiment(tag: &str, cache: &'static SimCache) -> Experiment {
         let mut exp = Experiment::with_scale(tag, QUICK);
         exp.cache = Some(cache);
-        (exp, cache, dir)
+        exp
     }
 
-    fn counts(cache: &SimCache) -> (u64, u64) {
-        let s = cache.stats();
+    /// A fresh cache in a temp dir (leaked: the field wants the global's
+    /// lifetime).
+    fn temp_cache(tag: &str) -> (&'static SimCache, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("ipcp-runner-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (Box::leak(Box::new(SimCache::new(&dir))), dir)
+    }
+
+    fn counts(exp: &Experiment) -> (u64, u64) {
+        let s = exp.cache_stats().unwrap();
         (s.hits, s.misses)
     }
 
@@ -1170,14 +1168,15 @@ mod tests {
         let traces = ipcp_workloads::memory_intensive_suite();
         let t = &traces[1];
         let cfg = IpcpConfig::with_only(&[ipcp::IpClass::Cs]);
+        let (cache, dir) = temp_cache("custom");
+        let mut exp = cached_experiment("custom", cache);
         let direct = ipcp_sim::run_single(
-            run_config(QUICK),
+            exp.run_config(),
             t.handle(),
             Box::new(IpcpL1::new(cfg.clone())),
             Box::new(NoPrefetcher),
             Box::new(NoPrefetcher),
         );
-        let (mut exp, cache, dir) = cached_experiment("custom");
         let key = ipcp_custom_key(&cfg, false);
         let cold = exp.run_custom("cs", &key, t, || {
             (
@@ -1187,13 +1186,15 @@ mod tests {
             )
         });
         assert_eq!(cold, direct, "a keyed run equals the uncached run_single");
-        assert_eq!(counts(cache), (0, 1));
+        assert_eq!(counts(&exp), (0, 1));
+        // A second experiment finds the entry on disk.
+        let mut exp = cached_experiment("custom", cache);
         let warm = exp.run_custom("cs", &key, t, || panic!("a hit must not build"));
         assert_eq!(
             warm.to_json().to_json_string(),
             direct.to_json().to_json_string()
         );
-        assert_eq!(counts(cache), (1, 1));
+        assert_eq!(counts(&exp), (1, 0));
         // The entry is keyed by the construction, not the label.
         let other = exp.run_custom("another label", &key, t, || panic!("must hit"));
         assert_eq!(other, direct);
@@ -1204,20 +1205,21 @@ mod tests {
     fn run_ipcp_shares_the_registry_combos_entries() {
         let traces = ipcp_workloads::memory_intensive_suite();
         let t = &traces[1];
-        let (mut exp, cache, dir) = cached_experiment("registry");
+        let (cache, dir) = temp_cache("registry");
         let default = IpcpConfig::default();
         for (combo, cfg, with_l2) in [
             ("ipcp", default.clone(), true),
             ("ipcp-l1", default.clone(), false),
             ("ipcp-nometa", default.clone().without_metadata(), true),
         ] {
-            let (hits, misses) = counts(cache);
-            let by_name = exp.run_combo(combo, t);
-            assert_eq!(counts(cache), (hits, misses + 1), "{combo} is a cold miss");
-            let by_cfg = exp.run_ipcp("variant", t, &cfg, with_l2);
+            let mut by_name_exp = cached_experiment("registry", cache);
+            let by_name = by_name_exp.run_combo(combo, t);
+            assert_eq!(counts(&by_name_exp), (0, 1), "{combo} is a cold miss");
+            let mut by_cfg_exp = cached_experiment("registry", cache);
+            let by_cfg = by_cfg_exp.run_ipcp("variant", t, &cfg, with_l2);
             assert_eq!(
-                counts(cache),
-                (hits + 1, misses + 1),
+                counts(&by_cfg_exp),
+                (1, 0),
                 "run_ipcp must hit the {combo} entry"
             );
             assert_eq!(
@@ -1227,6 +1229,69 @@ mod tests {
             );
             assert_eq!(ipcp_registry_combo(&cfg, with_l2), Some(combo));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The alone-IPC denominators go through the experiment's memo: a
+    /// repeated key simulates once, and the memoized value equals the
+    /// uncached run on the scaled machine.
+    #[test]
+    fn alone_ipc_cache_matches_uncached_and_memoizes() {
+        let traces = ipcp_workloads::memory_intensive_suite();
+        let t = &traces[0];
+        let mut exp = Experiment::with_scale("alone", QUICK);
+        let mut cfg = SimConfig::multicore(4).with_instructions(QUICK.warmup, QUICK.instructions);
+        cfg.cores = 1;
+        cfg.llc.size_bytes *= 4;
+        let c = combos::build("none");
+        let core = CoreSetup::new(t.handle(), c.l1, c.l2).with_l1i_prefetcher(c.l1i);
+        let direct = System::new(cfg, vec![core], c.llc).run().ipc();
+        assert_eq!(exp.alone_ipc(t, "none", 4), direct);
+        assert_eq!(exp.memo.len(), 1);
+        assert_eq!(exp.alone_ipc(t, "none", 4), direct);
+        assert_eq!(exp.memo.len(), 1, "second lookup is a hit, not a rerun");
+        // A different core count is a different machine — distinct entry.
+        let _ = exp.alone_ipc(t, "none", 8);
+        assert_eq!(exp.memo.len(), 2);
+        // A repeated custom key does not even build its prefetchers.
+        let key = "l1=none;l2=none;llc=none";
+        let first = exp.run_custom("a", key, t, || {
+            let c = combos::build("none");
+            (c.l1, c.l2, c.llc)
+        });
+        let again = exp.run_custom("b", key, t, || panic!("a memo hit must not build"));
+        assert_eq!(first, again);
+    }
+
+    /// The `no_fastpath` setting reaches every simulation's config (and so
+    /// its cache key), and the naive paths give the fast paths' report.
+    #[test]
+    fn no_fastpath_setting_runs_the_naive_paths() {
+        let traces = ipcp_workloads::memory_intensive_suite();
+        let t = &traces[1];
+        let (cache, dir) = temp_cache("naive");
+        let spec = JobSpec {
+            no_fastpath: true,
+            ..JobSpec::default()
+        };
+        let mut naive = Experiment::new("naive", &spec);
+        naive.scale = QUICK;
+        naive.cache = Some(cache);
+        assert!(naive.run_config().no_fastpath);
+        let slow = naive.run_combo("ipcp", t);
+        let _ = naive.alone_ipc(t, "none", 4);
+        let _ = naive.run_mix(std::slice::from_ref(t), "none");
+        let mut keys = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let text = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+            let key = JsonValue::parse(&text).unwrap().get("key").unwrap().clone();
+            let key = key.as_str().unwrap();
+            assert!(key.contains("no_fastpath: true"), "{key}");
+            keys += 1;
+        }
+        assert_eq!(keys, 3, "one entry per simulation");
+        let fast = Experiment::with_scale("fast", QUICK).run_combo("ipcp", t);
+        assert_eq!(slow, fast, "naive and fast paths give the same report");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1297,14 +1362,11 @@ mod tests {
 
     #[test]
     fn default_scale_yields_to_explicit_env_spec() {
-        let mut exp = Experiment::with_scale_spec(
-            "demo",
-            RunScale {
-                warmup: 1,
-                instructions: 2,
-            },
-            Some("1,2".into()),
-        );
+        let spec = JobSpec {
+            scale: Some("1,2".into()),
+            ..JobSpec::default()
+        };
+        let mut exp = Experiment::new("demo", &spec);
         exp.default_scale(RunScale::PAPER);
         assert_eq!(
             exp.scale(),
@@ -1317,5 +1379,31 @@ mod tests {
         let mut exp = Experiment::with_scale("demo", RunScale::default());
         exp.default_scale(RunScale::PAPER);
         assert_eq!(exp.scale(), RunScale::PAPER);
+    }
+
+    #[test]
+    fn empty_string_dirs_disable_outputs() {
+        let dir = std::env::temp_dir().join(format!("ipcp-empty-dirs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Some("") is "explicitly disabled": no CSVs, no sidecar.
+        let spec = JobSpec {
+            csv_dir: Some(String::new()),
+            json_dir: Some(String::new()),
+            ..JobSpec::default()
+        };
+        let mut exp = Experiment::new("demo_off", &spec);
+        exp.table(Table::new("T", &["a"]));
+        assert_eq!(exp.write_outputs(), None);
+        // A directory gets both.
+        let spec = JobSpec {
+            csv_dir: Some(dir.join("csv").display().to_string()),
+            json_dir: Some(dir.display().to_string()),
+            ..JobSpec::default()
+        };
+        let mut exp = Experiment::new("demo_on", &spec);
+        exp.table(Table::new("T", &["a"]));
+        assert_eq!(exp.write_outputs(), Some(dir.join("demo_on.data.json")));
+        assert!(dir.join("csv").join("t.csv").exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Every simulation in this workspace is deterministic: a [`SimReport`] is
 //! a pure function of (traces, prefetcher combo, effective [`SimConfig`],
-//! simulator code). Different figure binaries — and re-runs of the same
-//! sweep — therefore repeat identical simulations; the 27-binary default
-//! sweep shares per-trace baselines, alone-IPC denominators, and whole
-//! combo runs across experiments. This module memoizes those runs on disk
+//! simulator code). Different figures — and re-runs of the same sweep —
+//! therefore repeat identical simulations; the 27-figure default sweep
+//! shares per-trace baselines, alone-IPC denominators, and whole combo
+//! runs across experiments. This module memoizes those runs on disk
 //! so a warm sweep replays them instead of re-simulating. Every figure
 //! simulation is cacheable: registry combos and custom constructions
 //! alike.
@@ -55,24 +55,24 @@
 //! **Knobs.** The cache is *off* by default (experiments re-simulate,
 //! exactly as before). `IPCP_SIMCACHE=1` (or `true`/`on`/`yes`) enables
 //! it; `IPCP_SIMCACHE_DIR=<dir>` overrides the default `target/simcache`
-//! location. When enabled and `IPCP_SIMCACHE_STATS=<file>` is set,
-//! [`flush_stats`] (called by `Experiment::finish`) writes this process's
-//! hit/miss/store counters there — the `experiments` driver points each
-//! child at a per-experiment file and folds the numbers into its manifest.
+//! location. One process shares one cache ([`global`]); each
+//! `Experiment` counts its own hits, misses and stores from what
+//! [`SimCache::lookup`] reports, so the `experiments` manifest carries
+//! them per figure.
 //!
 //! **Cost of a hit.** A hit reads one entry file (~3.6 KB, about a third
 //! of it the stored key) and parses it with the linear-time
 //! [`JsonValue::parse`]: ~0.05 ms per hit in perfbench's traced `sweep`
 //! run (`bench.simcache.hit_ms`; 2-vCPU x86-64 VM). A warm default-scale
-//! serial sweep (27 figure processes, 2892 hits) takes 0.2–0.26 s there.
+//! serial sweep (27 figures, 2772 hits) takes 0.11–0.18 s there.
 //!
 //! Corrupt or unreadable entries are *loud*: a warning naming the file and
 //! the parse error goes to stderr, then the run recomputes (and rewrites
 //! the entry). Silence would hide cache rot; a hard error would couple
 //! experiment success to scratch-file health.
 
+use std::ops::AddAssign;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use ipcp_sim::telemetry::{FromJson, JsonValue, ToJson};
@@ -109,7 +109,8 @@ pub fn cache_key(trace_names: &[&str], combo: &str, cfg: &SimConfig) -> String {
     )
 }
 
-/// Hit/miss/store counters of one cache (monotonic, per process).
+/// Hit/miss/store counts: of one lookup ([`SimCache::lookup`]), or summed
+/// over a figure's or a sweep's lookups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStatsSnapshot {
     /// Simulations answered from disk.
@@ -120,38 +121,29 @@ pub struct CacheStatsSnapshot {
     pub stores: u64,
 }
 
+impl AddAssign for CacheStatsSnapshot {
+    fn add_assign(&mut self, other: Self) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.stores += other.stores;
+    }
+}
+
 /// A content-addressed on-disk cache of [`SimReport`]s.
 #[derive(Debug)]
 pub struct SimCache {
     dir: PathBuf,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stores: AtomicU64,
 }
 
 impl SimCache {
     /// A cache rooted at `dir` (created lazily on first store).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-        }
+        Self { dir: dir.into() }
     }
 
     /// The cache directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// This process's counters so far.
-    pub fn stats(&self) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-        }
     }
 
     /// The entry file for a key.
@@ -170,12 +162,25 @@ impl SimCache {
         cfg: &SimConfig,
         run: impl FnOnce() -> SimReport,
     ) -> SimReport {
-        let key = cache_key(trace_names, combo, cfg);
-        let path = self.entry_path(&key);
-        match self.load_report(&path, &key) {
+        self.lookup(&cache_key(trace_names, combo, cfg), run).0
+    }
+
+    /// [`SimCache::get_or_run`] by [`cache_key`], also reporting what the
+    /// lookup did: one hit, or one miss plus one store if the entry was
+    /// written.
+    pub fn lookup(
+        &self,
+        key: &str,
+        run: impl FnOnce() -> SimReport,
+    ) -> (SimReport, CacheStatsSnapshot) {
+        let path = self.entry_path(key);
+        match self.load_report(&path, key) {
             Ok(Some(report)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return report;
+                let hit = CacheStatsSnapshot {
+                    hits: 1,
+                    ..CacheStatsSnapshot::default()
+                };
+                return (report, hit);
             }
             Ok(None) => {}
             Err(e) => {
@@ -185,20 +190,23 @@ impl SimCache {
                 );
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let report = run();
-        match self.store_report(&path, &key, &report) {
-            Ok(()) => {
-                self.stores.fetch_add(1, Ordering::Relaxed);
-            }
+        let stored = match self.store_report(&path, key, &report) {
+            Ok(()) => true,
             Err(e) => {
                 eprintln!(
                     "warning: simcache: could not write {}: {e}; result not cached",
                     path.display()
                 );
+                false
             }
-        }
-        report
+        };
+        let miss = CacheStatsSnapshot {
+            hits: 0,
+            misses: 1,
+            stores: u64::from(stored),
+        };
+        (report, miss)
     }
 
     /// Loads the report of an entry. `Ok(None)` means "no entry" (a clean
@@ -230,26 +238,11 @@ impl SimCache {
     /// Writes an entry atomically: temp file in the cache dir, then rename
     /// (readers never observe a partial entry).
     fn store_report(&self, path: &Path, key: &str, report: &SimReport) -> std::io::Result<()> {
-        // Cache entries are canonical: wakeup-scheduler observability
-        // counters (`IPCP_SCHED_STATS`) and wall-clock phase timers
-        // (`IPCP_PHASE_STATS`) are per-run diagnostics that no part of the
-        // content key captures — the timers are not even deterministic —
-        // so they are stripped before publish: a warm hit replays the same
-        // bytes whether or not the knobs were set when the entry was
-        // produced.
-        let payload = if report.sched.is_some() || report.phases.is_some() {
-            let mut canonical = report.clone();
-            canonical.sched = None;
-            canonical.phases = None;
-            canonical.to_json()
-        } else {
-            report.to_json()
-        };
         std::fs::create_dir_all(&self.dir)?;
         let doc = JsonValue::obj()
             .set("schema", ENTRY_SCHEMA)
             .set("key", key)
-            .set("report", payload);
+            .set("report", canonical(report).to_json());
         let tmp = self.dir.join(format!(
             ".tmp-{}-{:016x}",
             std::process::id(),
@@ -260,14 +253,27 @@ impl SimCache {
     }
 }
 
+/// The report as a cache hit returns it: wakeup-scheduler observability
+/// counters (`IPCP_SCHED_STATS`) and wall-clock phase timers
+/// (`IPCP_PHASE_STATS`) are per-run diagnostics that no part of the
+/// content key captures — the timers are not even deterministic — so
+/// they are stripped before an entry is published, and a warm hit replays
+/// the same bytes whether or not the knobs were set when the entry was
+/// produced.
+pub(crate) fn canonical(report: &SimReport) -> SimReport {
+    let mut canonical = report.clone();
+    canonical.sched = None;
+    canonical.phases = None;
+    canonical
+}
+
 // ---------------------------------------------------------------------
 // The process-global cache (environment-controlled)
 // ---------------------------------------------------------------------
 
 /// `Some(cache)` when `IPCP_SIMCACHE` enables caching for this process,
-/// `None` otherwise. Resolved once; changing the environment afterwards
-/// has no effect (experiment binaries resolve it when they create their
-/// `Experiment`).
+/// `None` otherwise. Resolved once, when the first `Experiment` is
+/// created; changing the environment afterwards has no effect.
 /// Parsed through the consolidated [`crate::env`] module: a malformed
 /// `IPCP_SIMCACHE` value exits loudly instead of silently disabling the
 /// cache (the pre-consolidation behavior).
@@ -285,50 +291,6 @@ pub fn global() -> Option<&'static SimCache> {
         .as_ref()
 }
 
-/// [`SimCache::get_or_run`] against the process-global cache, or a plain
-/// `run()` when caching is disabled. (`runner::Experiment` holds the
-/// global cache itself, so its tests can hand it a private one.)
-pub fn get_or_run(
-    trace_names: &[&str],
-    combo: &str,
-    cfg: &SimConfig,
-    run: impl FnOnce() -> SimReport,
-) -> SimReport {
-    match global() {
-        Some(cache) => cache.get_or_run(trace_names, combo, cfg, run),
-        None => run(),
-    }
-}
-
-/// When the global cache is enabled and `IPCP_SIMCACHE_STATS=<file>` is
-/// set, writes this process's counters there as a small JSON document
-/// (`{"schema": 1, "hits": ..., "misses": ..., "stores": ...}`). Failures,
-/// a non-unicode path among them, warn on stderr; statistics must never
-/// fail an experiment.
-pub fn flush_stats() {
-    let Some(cache) = global() else { return };
-    let path = match crate::env::simcache_stats() {
-        Ok(Some(path)) => path,
-        Ok(None) => return,
-        Err(e) => {
-            eprintln!("warning: simcache: stats not written: {e}");
-            return;
-        }
-    };
-    let s = cache.stats();
-    let doc = JsonValue::obj()
-        .set("schema", 1u64)
-        .set("hits", s.hits)
-        .set("misses", s.misses)
-        .set("stores", s.stores);
-    if let Err(e) = std::fs::write(&path, doc.to_json_string() + "\n") {
-        eprintln!(
-            "warning: simcache: could not write stats to {}: {e}",
-            path.display()
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,6 +303,21 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ipcp-simcache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// [`SimCache::lookup`] by the key of (`names`, `combo`, `cfg`),
+    /// adding what it did to `stats`.
+    fn counted(
+        cache: &SimCache,
+        stats: &mut CacheStatsSnapshot,
+        names: &[&str],
+        combo: &str,
+        cfg: &SimConfig,
+        run: impl FnOnce() -> SimReport,
+    ) -> SimReport {
+        let (report, did) = cache.lookup(&cache_key(names, combo, cfg), run);
+        *stats += did;
+        report
     }
 
     fn quick_cfg() -> SimConfig {
@@ -357,15 +334,18 @@ mod tests {
     fn cached_report_equals_uncached_and_counts_hits() {
         let dir = tmp_dir("roundtrip");
         let cache = SimCache::new(&dir);
+        let mut stats = CacheStatsSnapshot::default();
         let cfg = quick_cfg();
         let traces = ipcp_workloads::memory_intensive_suite();
         let names = [traces[0].name()];
 
         let direct = simulate("ipcp", &cfg);
-        let cold = cache.get_or_run(&names, "ipcp", &cfg, || simulate("ipcp", &cfg));
+        let cold = counted(&cache, &mut stats, &names, "ipcp", &cfg, || {
+            simulate("ipcp", &cfg)
+        });
         assert_eq!(cold, direct, "cold run must return the computed report");
         assert_eq!(
-            cache.stats(),
+            stats,
             CacheStatsSnapshot {
                 hits: 0,
                 misses: 1,
@@ -373,11 +353,11 @@ mod tests {
             }
         );
 
-        let warm = cache.get_or_run(&names, "ipcp", &cfg, || {
+        let warm = counted(&cache, &mut stats, &names, "ipcp", &cfg, || {
             panic!("warm lookup must not re-simulate")
         });
         assert_eq!(warm, direct, "cached report must round-trip exactly");
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(stats.hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -414,6 +394,7 @@ mod tests {
     fn corrupt_or_mismatched_entries_recompute_and_repair() {
         let dir = tmp_dir("corrupt");
         let cache = SimCache::new(&dir);
+        let mut stats = CacheStatsSnapshot::default();
         let cfg = quick_cfg();
         let traces = ipcp_workloads::memory_intensive_suite();
         let names = [traces[0].name()];
@@ -439,16 +420,20 @@ mod tests {
                 .to_json_string(),
         ] {
             std::fs::write(&path, garbage).unwrap();
-            let got = cache.get_or_run(&names, "none", &cfg, || simulate("none", &cfg));
+            let got = counted(&cache, &mut stats, &names, "none", &cfg, || {
+                simulate("none", &cfg)
+            });
             assert_eq!(got, direct, "corrupt entry must recompute, not fail");
         }
-        assert_eq!(cache.stats().hits, 0);
-        assert_eq!(cache.stats().misses, 3);
+        assert_eq!(stats.hits, 0);
+        assert_eq!(stats.misses, 3);
 
         // The last recompute rewrote the entry: now a clean hit.
-        let warm = cache.get_or_run(&names, "none", &cfg, || panic!("must hit"));
+        let warm = counted(&cache, &mut stats, &names, "none", &cfg, || {
+            panic!("must hit")
+        });
         assert_eq!(warm, direct);
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(stats.hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -458,15 +443,20 @@ mod tests {
     fn non_ascii_custom_key_round_trips_as_a_hit() {
         let dir = tmp_dir("utf8");
         let cache = SimCache::new(&dir);
+        let mut stats = CacheStatsSnapshot::default();
         let cfg = quick_cfg();
         let combo = "custom:l1=Ipcp(\"é\");l2=Señal(€ 😀);llc=none";
         let direct = simulate("none", &cfg);
-        let cold = cache.get_or_run(&["t"], combo, &cfg, || simulate("none", &cfg));
+        let cold = counted(&cache, &mut stats, &["t"], combo, &cfg, || {
+            simulate("none", &cfg)
+        });
         assert_eq!(cold, direct);
-        assert_eq!(cache.stats().stores, 1);
-        let warm = cache.get_or_run(&["t"], combo, &cfg, || panic!("must hit"));
+        assert_eq!(stats.stores, 1);
+        let warm = counted(&cache, &mut stats, &["t"], combo, &cfg, || {
+            panic!("must hit")
+        });
         assert_eq!(warm, direct, "cached report must round-trip exactly");
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(stats.hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -474,13 +464,18 @@ mod tests {
     fn distinct_configs_do_not_share_entries() {
         let dir = tmp_dir("distinct");
         let cache = SimCache::new(&dir);
+        let mut stats = CacheStatsSnapshot::default();
         let cfg_a = quick_cfg();
         let mut cfg_b = quick_cfg();
         cfg_b.sim_instructions = 12_000;
-        let a = cache.get_or_run(&["t"], "none", &cfg_a, || simulate("none", &cfg_a));
-        let b = cache.get_or_run(&["t"], "none", &cfg_b, || simulate("none", &cfg_b));
+        let a = counted(&cache, &mut stats, &["t"], "none", &cfg_a, || {
+            simulate("none", &cfg_a)
+        });
+        let b = counted(&cache, &mut stats, &["t"], "none", &cfg_b, || {
+            simulate("none", &cfg_b)
+        });
         assert_ne!(a, b, "different instruction counts, different reports");
-        assert_eq!(cache.stats().misses, 2, "no false sharing between configs");
+        assert_eq!(stats.misses, 2, "no false sharing between configs");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

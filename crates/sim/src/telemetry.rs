@@ -480,13 +480,14 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run of plain characters up to the next `"` or `\`
-            // in one go. Both stop bytes are ASCII, so the run ends on a
-            // char boundary of `text` and needs no UTF-8 re-validation.
+            // Copy the run of plain characters up to the next `"`, `\` or
+            // control character in one go. Every stop byte is ASCII, so the
+            // run ends on a char boundary of `text` and needs no UTF-8
+            // re-validation.
             let rest = &self.bytes[self.pos..];
             let run = rest
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .unwrap_or(rest.len());
             out.push_str(&self.text[self.pos..self.pos + run]);
             self.pos += run;
@@ -494,6 +495,9 @@ impl Parser<'_> {
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
+                }
+                Some(b) if b < 0x20 => {
+                    return Err(self.err("control character in string"));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -511,10 +515,13 @@ impl Parser<'_> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let s =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(s, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // Exactly four hex digits: `from_str_radix` alone
+                            // would also take a sign (`\\u+0e9`).
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(self.err("bad \\u escape"));
+                            }
+                            let s = std::str::from_utf8(hex).expect("ASCII hex digits");
+                            let code = u32::from_str_radix(s, 16).expect("four hex digits");
                             out.push(
                                 char::from_u32(code)
                                     .ok_or_else(|| self.err("\\u escape outside the BMP"))?,
@@ -530,21 +537,47 @@ impl Parser<'_> {
         }
     }
 
+    /// Consumes a run of ASCII digits; errors at the current offset when
+    /// there is none.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("expected a digit"));
+        }
+        Ok(())
+    }
+
+    /// A number in JSON's grammar: `-? (0 | [1-9][0-9]*) (. [0-9]+)?
+    /// ([eE] [+-]? [0-9]+)?` — no leading zeros, no bare `.` or exponent.
     fn number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+            if self.peek().is_some_and(|b| b.is_ascii_digit()) {
+                return Err(self.err("leading zero in number"));
             }
+        } else {
+            self.digits()?;
+        }
+        let mut float = false;
+        if self.peek() == Some(b'.') {
+            float = true;
+            self.pos += 1;
+            self.digits()?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            float = true;
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
         }
         // Every byte consumed above is ASCII, so the slice is on char
         // boundaries.
@@ -1281,6 +1314,66 @@ mod tests {
             let e = JsonValue::parse(doc).unwrap_err();
             assert_eq!((e.offset, e.message.as_str()), (offset, message), "{doc:?}");
         }
+    }
+
+    /// A `\u` escape takes exactly four hex digits; a sign is not one.
+    #[test]
+    fn parse_rejects_signed_unicode_escapes() {
+        for doc in ["\"\\u+0e9\"", "\"\\u-0e9\"", "\"\\u 0e9\""] {
+            let e = JsonValue::parse(doc).unwrap_err();
+            assert_eq!(
+                (e.offset, e.message.as_str()),
+                (2, "bad \\u escape"),
+                "{doc:?}"
+            );
+        }
+        assert_eq!(
+            JsonValue::parse("\"\\u00e9\\u00E9\"").unwrap().as_str(),
+            Some("éé")
+        );
+    }
+
+    /// JSON numbers have no leading zeros (and no bare `.` or exponent).
+    #[test]
+    fn parse_rejects_leading_zeros() {
+        for (doc, offset, message) in [
+            ("01", 1, "leading zero in number"),
+            ("-01", 2, "leading zero in number"),
+            ("[1, 007]", 5, "leading zero in number"),
+            ("00.5", 1, "leading zero in number"),
+            ("1.", 2, "expected a digit"),
+            ("-.5", 1, "expected a digit"),
+            ("1e", 2, "expected a digit"),
+            ("-", 1, "expected a digit"),
+        ] {
+            let e = JsonValue::parse(doc).unwrap_err();
+            assert_eq!((e.offset, e.message.as_str()), (offset, message), "{doc:?}");
+        }
+        for (doc, value) in [("0", 0.0), ("-0", 0.0), ("0.25", 0.25), ("10e-2", 0.1)] {
+            assert_eq!(
+                JsonValue::parse(doc).unwrap().as_f64(),
+                Some(value),
+                "{doc}"
+            );
+        }
+        assert_eq!(JsonValue::parse("-17").unwrap().as_i64(), Some(-17));
+    }
+
+    /// Control characters inside a string must be escaped; the serializer
+    /// escapes every one of them, so its output still parses.
+    #[test]
+    fn parse_rejects_raw_control_characters() {
+        for (doc, offset) in [("\"a\u{1}b\"", 2), ("\"é\nx\"", 3), ("{\"k\": \"\t\"}", 7)] {
+            let e = JsonValue::parse(doc).unwrap_err();
+            assert_eq!(
+                (e.offset, e.message.as_str()),
+                (offset, "control character in string"),
+                "{doc:?}"
+            );
+        }
+        let all: String = (0u8..0x20).map(char::from).collect();
+        let doc = JsonValue::Str(all.clone()).to_json_string();
+        assert_eq!(JsonValue::parse(&doc).unwrap().as_str(), Some(all.as_str()));
     }
 
     /// A 1 MiB string next to a ~2 KB simcache-key-like string round-trips

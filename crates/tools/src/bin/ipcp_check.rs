@@ -272,9 +272,10 @@ fn main() {
         CLI.fail("ipcp_check takes no positional arguments");
     }
     let scale = ipcp_bench::env::or_die(ipcp_bench::env::scale());
-    let seeds: u64 = args.get_or("seeds", 2);
+    let seeds: u64 = args.get_or("seeds", 2).unwrap_or_else(|e| CLI.fail(&e));
     let combo_names: Vec<String> = args
         .get_or("combos", "ipcp,ipcp-l1,fdip,mana-ipcp".to_string())
+        .unwrap_or_else(|e| CLI.fail(&e))
         .split(',')
         .map(str::to_string)
         .collect();

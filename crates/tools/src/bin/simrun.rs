@@ -69,15 +69,20 @@ fn main() {
     let [name] = &args.positional[..] else {
         CLI.fail("simrun needs exactly one trace");
     };
-    let combo: String = args.get_or("combo", "ipcp".to_string());
-    let warmup: u64 = args.get_or("warmup", 100_000);
-    let instrs: u64 = args.get_or("instructions", 400_000);
-    let interval: Option<u64> = args.options.get("interval").map(|v| {
-        let n: u64 = v
-            .parse()
-            .unwrap_or_else(|_| panic!("--interval {v:?} is not an instruction count"));
-        assert!(n > 0, "--interval must be > 0");
-        n
+    let combo: String = args
+        .get_or("combo", "ipcp".to_string())
+        .unwrap_or_else(|e| CLI.fail(&e));
+    let warmup: u64 = args
+        .get_or("warmup", 100_000)
+        .unwrap_or_else(|e| CLI.fail(&e));
+    let instrs: u64 = args
+        .get_or("instructions", 400_000)
+        .unwrap_or_else(|e| CLI.fail(&e));
+    let interval: Option<u64> = args.options.get("interval").map(|v| match v.parse() {
+        Ok(n) if n > 0 => n,
+        _ => CLI.fail(&format!(
+            "--interval {v:?} is not a positive instruction count"
+        )),
     });
 
     let trace = load(name);

@@ -38,7 +38,9 @@ fn main() {
     let [name, out] = &args.positional[..] else {
         CLI.fail("tracegen needs a trace name and an output file");
     };
-    let n: u64 = args.get_or("instructions", 1_000_000);
+    let n: u64 = args
+        .get_or("instructions", 1_000_000)
+        .unwrap_or_else(|e| CLI.fail(&e));
     let trace = ipcp_workloads::by_name(name).unwrap_or_else(|| {
         eprintln!("unknown trace {name:?}; try tracegen --list");
         std::process::exit(2);

@@ -8,7 +8,7 @@
 //! validate_results --bench BENCH_perf.json
 //! ```
 //!
-//! Checks that `manifest.json` parses, carries the expected schema (3),
+//! Checks that `manifest.json` parses, carries the expected schema (4),
 //! that every experiment the manifest marks as having a sidecar actually
 //! has one on disk, and that every `*.data.json` sidecar in the directory
 //! is a well-formed figure document (schema, name, scale, rectangular
@@ -35,8 +35,9 @@
 //! bypass the cache — fails, named with its miss count).
 //!
 //! Exit status: 0 when everything validates, 1 otherwise, with one line
-//! per problem on stderr; 2 with the usage on an unknown option or an
-//! option without its value (a mistyped gate such as
+//! per problem on stderr; 2 with the usage on an unknown option, an
+//! option without its value, a gate value that is not a count, or
+//! `--compare` without experiment names (a mistyped gate such as
 //! `--max-simcache-mises` must not pass by being ignored).
 
 use std::path::{Path, PathBuf};
@@ -312,8 +313,8 @@ fn main() {
     let mut missed_in: Vec<String> = Vec::new();
     if let Some(manifest) = c.load(&manifest_path) {
         let loc = manifest_path.display().to_string();
-        if manifest.get("schema").and_then(JsonValue::as_u64) != Some(3) {
-            c.problem(format!("{loc}: missing or wrong \"schema\" (want 3)"));
+        if manifest.get("schema").and_then(JsonValue::as_u64) != Some(4) {
+            c.problem(format!("{loc}: missing or wrong \"schema\" (want 4)"));
         }
         match manifest.get("experiments").and_then(JsonValue::as_array) {
             Some(experiments) if !experiments.is_empty() => {
@@ -357,12 +358,10 @@ fn main() {
         ("min-simcache-hits", "hits", true),
         ("max-simcache-misses", "misses", false),
     ] {
-        let Some(limit) = args.options.get(option) else {
+        if !args.options.contains_key(option) {
             continue;
-        };
-        let limit: u64 = limit
-            .parse()
-            .unwrap_or_else(|_| panic!("--{option} {limit:?} is not a count"));
+        }
+        let limit: u64 = args.get_or(option, 0).unwrap_or_else(|e| CLI.fail(&e));
         let loc = manifest_path.display();
         match manifest_cache
             .as_ref()
@@ -386,10 +385,9 @@ fn main() {
     // Determinism: cached and uncached, pooled and serial sweeps must be
     // byte-identical.
     if let Some(ref_dir) = args.options.get("compare").map(PathBuf::from) {
-        assert!(
-            !args.positional.is_empty(),
-            "--compare needs positional experiment names to compare"
-        );
+        if args.positional.is_empty() {
+            CLI.fail("--compare needs positional experiment names to compare");
+        }
         for name in &args.positional {
             for suffix in [".txt", ".data.json"] {
                 let a = dir.join(format!("{name}{suffix}"));

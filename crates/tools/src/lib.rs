@@ -76,17 +76,18 @@ impl Args {
         Ok(out)
     }
 
-    /// Option value parsed to `T`, or the default.
+    /// Option value parsed to `T`, or the default when the option is
+    /// absent. Tools pass the error to [`Cli::fail`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a readable message if the value does not parse.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+    /// Names the option and its value when the value does not parse.
+    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.options.get(key) {
             Some(v) => v
                 .parse()
-                .unwrap_or_else(|_| panic!("--{key}: cannot parse {v:?}")),
-            None => default,
+                .map_err(|_| format!("--{key}: cannot parse {v:?}")),
+            None => Ok(default),
         }
     }
 
@@ -119,7 +120,7 @@ mod tests {
         let a = parse("trace.bin --combo ipcp --instructions 1000 --verbose");
         assert_eq!(a.positional, vec!["trace.bin"]);
         assert_eq!(a.options["combo"], "ipcp");
-        assert_eq!(a.get_or("instructions", 0u64), 1000);
+        assert_eq!(a.get_or("instructions", 0u64), Ok(1000));
         assert!(a.has_flag("verbose"));
         assert!(!a.has_flag("quiet"));
     }
@@ -127,14 +128,14 @@ mod tests {
     #[test]
     fn defaults_apply() {
         let a = parse("x");
-        assert_eq!(a.get_or("n", 7u32), 7);
+        assert_eq!(a.get_or("n", 7u32), Ok(7));
     }
 
     #[test]
-    #[should_panic(expected = "cannot parse")]
-    fn bad_value_panics() {
+    fn bad_values_are_errors() {
         let a = parse("--n abc");
-        let _: u32 = a.get_or("n", 0);
+        assert_eq!(a.get_or("n", 0u32), Err("--n: cannot parse \"abc\"".into()));
+        assert_eq!(a.get_or("combo", 1u32), Ok(1), "absent options default");
     }
 
     #[test]
@@ -161,6 +162,6 @@ mod tests {
         let a = parse("--verbose trace.bin --n 3");
         assert!(a.has_flag("verbose"));
         assert_eq!(a.positional, vec!["trace.bin"]);
-        assert_eq!(a.get_or("n", 0u32), 3);
+        assert_eq!(a.get_or("n", 0u32), Ok(3));
     }
 }

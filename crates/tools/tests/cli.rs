@@ -1,6 +1,8 @@
-//! Command-line surface of the tools: an undeclared option or a value
-//! option without its value exits 2 with the usage before the tool does
-//! anything, and a declared bare flag never swallows the next token.
+//! Command-line surface of the tools: an undeclared option, a value
+//! option without its value or with one that does not parse, and an
+//! unknown experiment name exit 2 with the usage before the tool does
+//! anything, and a declared bare flag never swallows the next token. The
+//! driver hands its settings to the figures it runs.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -14,12 +16,19 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn run_in(dir: &PathBuf, exe: &str, args: &[&str]) -> Output {
-    Command::new(exe)
-        .args(args)
-        .current_dir(dir)
-        .env_remove("IPCP_SCALE")
-        .output()
-        .unwrap()
+    run_with(dir, exe, args, &[])
+}
+
+/// Runs `exe` in `dir` with no `IPCP_*` knob set but `env`.
+fn run_with(dir: &PathBuf, exe: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(exe);
+    for (k, _) in std::env::vars_os() {
+        if k.to_string_lossy().starts_with("IPCP_") {
+            cmd.env_remove(k);
+        }
+    }
+    cmd.args(args).current_dir(dir).envs(env.iter().copied());
+    cmd.output().unwrap()
 }
 
 fn assert_usage_error(out: &Output, needle: &str) {
@@ -99,5 +108,62 @@ fn every_tool_rejects_a_mistyped_flag() {
         0,
         "a rejected command line must leave nothing behind"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unparsable_values_and_unknown_names_exit_2() {
+    let dir = scratch("values");
+    for (exe, args, needle) in [
+        (
+            env!("CARGO_BIN_EXE_experiments"),
+            &["fig99"][..],
+            "unknown experiment \"fig99\"",
+        ),
+        (
+            env!("CARGO_BIN_EXE_experiments"),
+            &["--jobs", "abc"],
+            "--jobs: cannot parse \"abc\"",
+        ),
+        (
+            env!("CARGO_BIN_EXE_validate_results"),
+            &["--min-simcache-hits", "xyz"],
+            "--min-simcache-hits: cannot parse \"xyz\"",
+        ),
+    ] {
+        let out = run_in(&dir, exe, args);
+        assert_usage_error(&out, needle);
+    }
+    assert!(
+        !dir.join("results").exists(),
+        "a rejected command line must not start a sweep"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `IPCP_FE_FOOTPRINTS` reaches `fe01_l1i_mpki` through the driver: one
+/// fe-deep footprint instead of the full ladder of four.
+#[test]
+fn experiments_passes_fe_footprints_to_fe01() {
+    let dir = scratch("fe01");
+    let out = run_with(
+        &dir,
+        env!("CARGO_BIN_EXE_experiments"),
+        &["fe01_l1i_mpki", "--jobs", "1"],
+        &[("IPCP_SCALE", "2000,5000"), ("IPCP_FE_FOOTPRINTS", "1")],
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(dir.join("results/fe01_l1i_mpki.txt")).unwrap();
+    let deep: Vec<&str> = text
+        .lines()
+        .filter(|l| l.trim_start().starts_with("fe-deep-"))
+        .collect();
+    assert_eq!(deep.len(), 1, "{text}");
+    assert!(deep[0].trim_start().starts_with("fe-deep-256k"), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
