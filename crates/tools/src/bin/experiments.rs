@@ -44,7 +44,7 @@ use std::time::Instant;
 use ipcp_bench::figures::{self, Figure, FIGURES};
 use ipcp_bench::jobspec::{self, JobSpec};
 use ipcp_bench::{env, harness};
-use ipcp_tools::{Args, Cli};
+use ipcp_tools::{outln, write_stdout, Args, Cli};
 
 const CLI: Cli = Cli {
     usage: "usage: experiments [name ...] [--jobs N] [--results-dir DIR] [--list] [--list-env]",
@@ -56,12 +56,12 @@ fn main() {
     let args = Args::parse(&CLI);
     if args.has_flag("list") {
         for figure in FIGURES {
-            println!("{}", figure.name);
+            outln!("{}", figure.name);
         }
         return;
     }
     if args.has_flag("list-env") {
-        print!("{}", env::render_catalogue());
+        write_stdout(&env::render_catalogue());
         return;
     }
 

@@ -42,7 +42,7 @@ use ipcp_sim::{
     run_single, run_single_with_l1i, CheckedPrefetcher, CoreSetup, ReplacementKind, SimConfig,
     System,
 };
-use ipcp_tools::{Args, Cli};
+use ipcp_tools::{outln, Args, Cli};
 use ipcp_trace::TraceSource;
 use ipcp_workloads::fuzz;
 use ipcp_workloads::gen::SynthTrace;
@@ -107,7 +107,7 @@ fn storage_audit() -> u32 {
         eprintln!("FAIL storage: ipcp pair = {pair} bytes, Table 1 says 895");
         failures += 1;
     }
-    println!("storage audit: L1 5913 bits, L2 1237 bits, pair 895 bytes ok");
+    outln!("storage audit: L1 5913 bits, L2 1237 bits, pair 895 bytes ok");
     failures
 }
 
@@ -152,7 +152,7 @@ fn invariant_sweep(cfg: &SimConfig, seeds: u64) -> u32 {
             }
         }
     }
-    println!("invariant sweep: {total} traces checked, {failures} failure(s)");
+    outln!("invariant sweep: {total} traces checked, {failures} failure(s)");
     failures
 }
 
@@ -192,7 +192,7 @@ fn oracle_sweep(cfg: &SimConfig, combo_names: &[String], seeds: u64) -> u32 {
             }
         }
     }
-    println!("oracle sweep: {runs} fast/naive pairs compared, {failures} mismatch(es)");
+    outln!("oracle sweep: {runs} fast/naive pairs compared, {failures} mismatch(es)");
     failures
 }
 
@@ -256,7 +256,7 @@ fn mc_oracle_sweep(cfg: &SimConfig, seeds: u64) -> u32 {
             }
         }
     }
-    println!("mc oracle sweep: {runs} fast/naive 4-core pairs compared, {failures} mismatch(es)");
+    outln!("mc oracle sweep: {runs} fast/naive 4-core pairs compared, {failures} mismatch(es)");
     failures
 }
 
@@ -285,7 +285,7 @@ fn main() {
         cfg = cfg.without_fastpaths();
     }
 
-    println!(
+    outln!(
         "ipcp_check: warmup {} + {} instructions, {} seed(s)/pattern, combos {}",
         scale.warmup,
         scale.instructions,
@@ -312,7 +312,7 @@ fn main() {
         for s in [scale, quarter] {
             let mut scfg = base_config(s);
             scfg.no_fastpath = cfg.no_fastpath;
-            println!("oracle scale: warmup {} + {}", s.warmup, s.instructions);
+            outln!("oracle scale: warmup {} + {}", s.warmup, s.instructions);
             failures += oracle_sweep(&scfg, &combo_names, seeds);
             failures += mc_oracle_sweep(&scfg, seeds);
         }
@@ -321,5 +321,5 @@ fn main() {
         eprintln!("ipcp_check: {failures} failure(s)");
         std::process::exit(1);
     }
-    println!("ipcp_check: all audits clean");
+    outln!("ipcp_check: all audits clean");
 }

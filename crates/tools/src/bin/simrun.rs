@@ -19,7 +19,7 @@ use std::sync::Arc;
 use ipcp_bench::combos;
 use ipcp_sim::telemetry::ToJson;
 use ipcp_sim::{run_single, SimConfig, SimReport};
-use ipcp_tools::{Args, Cli};
+use ipcp_tools::{outln, write_stdout, Args, Cli};
 use ipcp_trace::{TraceReader, TraceSource, VecTrace};
 
 fn load(name: &str) -> Arc<dyn TraceSource + Send + Sync> {
@@ -98,13 +98,13 @@ fn main() {
                 .set("baseline_ipc", base.ipc())
                 .set("speedup", r.ipc() / base.ipc());
         }
-        print!("{}", doc.to_pretty_string());
+        write_stdout(&doc.to_pretty_string());
         return;
     }
-    println!("== {combo} on {name}");
-    print!("{r}");
+    outln!("== {combo} on {name}");
+    write_stdout(&r.to_string());
     let l1 = &r.cores[0].l1d;
-    println!(
+    outln!(
         "L1D prefetch: issued {} filled {} useful {} useless-evicted {} (accuracy {:.2})",
         l1.pf_issued,
         l1.pf_fills,
@@ -114,7 +114,7 @@ fn main() {
     );
     if args.has_flag("baseline") {
         let base = run(trace, "none", warmup, instrs, None);
-        println!(
+        outln!(
             "speedup vs no prefetching: {:.3} ({:.3} -> {:.3} IPC)",
             r.ipc() / base.ipc(),
             base.ipc(),

@@ -8,7 +8,7 @@
 use std::fs::File;
 use std::io::BufWriter;
 
-use ipcp_tools::{Args, Cli};
+use ipcp_tools::{outln, Args, Cli};
 use ipcp_trace::{write_trace, TraceSource};
 
 const CLI: Cli = Cli {
@@ -20,18 +20,18 @@ const CLI: Cli = Cli {
 fn main() {
     let args = Args::parse(&CLI);
     if args.has_flag("list") {
-        println!("memory-intensive suite:");
+        outln!("memory-intensive suite:");
         for t in ipcp_workloads::memory_intensive_suite() {
-            println!("  {}", t.name());
+            outln!("  {}", t.name());
         }
-        println!("full-suite extras, CloudSuite, NN:");
+        outln!("full-suite extras, CloudSuite, NN:");
         for t in ipcp_workloads::full_suite()
             .into_iter()
             .skip(20)
             .chain(ipcp_workloads::cloud_suite())
             .chain(ipcp_workloads::nn_suite())
         {
-            println!("  {}", t.name());
+            outln!("  {}", t.name());
         }
         return;
     }
@@ -48,5 +48,5 @@ fn main() {
     let f = File::create(out).expect("create output file");
     let written =
         write_trace(BufWriter::new(f), trace.stream().take(n as usize)).expect("write trace");
-    println!("wrote {written} instructions of {name} to {out}");
+    outln!("wrote {written} instructions of {name} to {out}");
 }

@@ -43,7 +43,7 @@
 use std::path::{Path, PathBuf};
 
 use ipcp_sim::telemetry::JsonValue;
-use ipcp_tools::{Args, Cli};
+use ipcp_tools::{outln, Args, Cli};
 
 struct Checker {
     problems: Vec<String>,
@@ -285,7 +285,7 @@ fn main() {
         let path = PathBuf::from(bench);
         check_bench(&mut c, &path);
         if c.problems.is_empty() {
-            println!("ok: {} validates", path.display());
+            outln!("ok: {} validates", path.display());
             return;
         }
         for p in &c.problems {
@@ -451,7 +451,7 @@ fn main() {
     }
 
     if c.problems.is_empty() {
-        println!(
+        outln!(
             "ok: manifest ({} experiments) and {} sidecar(s) in {} validate",
             manifest_names.len(),
             n_sidecars,

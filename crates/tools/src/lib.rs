@@ -4,6 +4,29 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::io::{ErrorKind, Write};
+
+/// Writes `text` to stdout and flushes it. A reader that has gone away
+/// (`EPIPE`, as in `experiments --list | head -1`) ends the tool with
+/// status 0: the reader wanted no more output. Any other write error
+/// panics, as `print!` does.
+pub fn write_stdout(text: &str) {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
+/// `println!` through [`write_stdout`]: a closed stdout ends the tool
+/// cleanly instead of panicking.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// The command line one tool accepts: the long options it declares and
 /// its usage text. Anything undeclared is an error, so a mistyped flag

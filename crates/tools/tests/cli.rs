@@ -2,7 +2,8 @@
 //! option without its value or with one that does not parse, and an
 //! unknown experiment name exit 2 with the usage before the tool does
 //! anything, and a declared bare flag never swallows the next token. The
-//! driver hands its settings to the figures it runs.
+//! driver hands its settings to the figures it runs. A tool whose stdout
+//! reader has gone away exits 0.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -19,16 +20,24 @@ fn run_in(dir: &PathBuf, exe: &str, args: &[&str]) -> Output {
     run_with(dir, exe, args, &[])
 }
 
-/// Runs `exe` in `dir` with no `IPCP_*` knob set but `env`.
-fn run_with(dir: &PathBuf, exe: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
+/// `exe args` in `dir`, with no `IPCP_*` knob set.
+fn command(dir: &PathBuf, exe: &str, args: &[&str]) -> Command {
     let mut cmd = Command::new(exe);
     for (k, _) in std::env::vars_os() {
         if k.to_string_lossy().starts_with("IPCP_") {
             cmd.env_remove(k);
         }
     }
-    cmd.args(args).current_dir(dir).envs(env.iter().copied());
-    cmd.output().unwrap()
+    cmd.args(args).current_dir(dir);
+    cmd
+}
+
+/// Runs `exe` in `dir` with no `IPCP_*` knob set but `env`.
+fn run_with(dir: &PathBuf, exe: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
+    command(dir, exe, args)
+        .envs(env.iter().copied())
+        .output()
+        .unwrap()
 }
 
 fn assert_usage_error(out: &Output, needle: &str) {
@@ -165,5 +174,51 @@ fn experiments_passes_fe_footprints_to_fe01() {
         .collect();
     assert_eq!(deep.len(), 1, "{text}");
     assert!(deep[0].trim_start().starts_with("fe-deep-256k"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A listing or printing command whose reader has already gone away (as
+/// in `experiments --list | head -1`) stops quietly with status 0, where
+/// `println!` would panic on `EPIPE` and exit 101.
+#[test]
+fn printing_to_a_closed_pipe_exits_0() {
+    let dir = scratch("epipe");
+    let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
+    for (exe, args) in [
+        (env!("CARGO_BIN_EXE_experiments"), &["--list"][..]),
+        (env!("CARGO_BIN_EXE_experiments"), &["--list-env"]),
+        (env!("CARGO_BIN_EXE_tracegen"), &["--list"]),
+        (
+            env!("CARGO_BIN_EXE_tracegen"),
+            &["bwaves-cs1", "t.trace", "--instructions", "10"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_simrun"),
+            &["bwaves-cs1", "--warmup", "100", "--instructions", "1000"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_simrun"),
+            &[
+                "bwaves-cs1",
+                "--warmup",
+                "100",
+                "--instructions",
+                "1000",
+                "--json",
+            ],
+        ),
+        (env!("CARGO_BIN_EXE_validate_results"), &["--bench", bench]),
+        (
+            env!("CARGO_BIN_EXE_ipcp_check"),
+            &["--skip-invariants", "--skip-oracle"],
+        ),
+    ] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = command(&dir, exe, args).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{exe} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{exe} {args:?}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

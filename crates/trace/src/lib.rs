@@ -178,6 +178,34 @@ impl InstrBatch {
         self.addrs.extend_from_slice(addrs);
     }
 
+    /// Bulk-appends dense `ips`/`kinds` columns whose addresses are stored
+    /// sparsely: `mem_addrs` holds one address per memory instruction, in
+    /// order, and none for the rest. The batch's address column gets them
+    /// back in place, with 0 for every non-memory instruction — the same
+    /// columns [`InstrBatch::push`] builds. Returns how many entries of
+    /// `mem_addrs` were consumed, so a sequential reader can keep a running
+    /// cursor into its sparse column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ips` and `kinds` disagree in length, or if `mem_addrs`
+    /// holds fewer addresses than `kinds` has memory instructions.
+    pub fn extend_from_sparse(&mut self, ips: &[u64], kinds: &[u8], mem_addrs: &[u64]) -> usize {
+        assert_eq!(ips.len(), kinds.len());
+        self.ips.extend_from_slice(ips);
+        self.kinds.extend_from_slice(kinds);
+        let start = self.addrs.len();
+        self.addrs.resize(start + kinds.len(), 0);
+        let mut next = 0;
+        for (slot, &k) in self.addrs[start..].iter_mut().zip(kinds) {
+            if k != KIND_NONE {
+                *slot = mem_addrs[next];
+                next += 1;
+            }
+        }
+        next
+    }
+
     /// Reassembles the `i`-th instruction from the columns.
     ///
     /// # Panics
@@ -788,6 +816,27 @@ mod tests {
         assert_eq!(addrs[1], 0x10000 + 64);
         b.clear();
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn sparse_addresses_scatter_into_the_dense_column() {
+        let instrs = sample_instrs(20);
+        let mut dense = InstrBatch::new();
+        for &i in &instrs {
+            dense.push(i);
+        }
+        let (ips, kinds, addrs) = dense.columns();
+        let sparse: Vec<u64> = instrs
+            .iter()
+            .filter_map(|i| i.vaddr().map(VAddr::raw))
+            .collect();
+        // Two appends with a running cursor, split mid-stream.
+        let mut b = InstrBatch::new();
+        let used = b.extend_from_sparse(&ips[..8], &kinds[..8], &sparse);
+        assert_eq!(used, 5);
+        let rest = b.extend_from_sparse(&ips[8..], &kinds[8..], &sparse[used..]);
+        assert_eq!(used + rest, sparse.len());
+        assert_eq!(b.columns(), (ips, kinds, addrs));
     }
 
     #[test]

@@ -13,122 +13,178 @@
 
 use std::sync::{Arc, Mutex};
 
-use ipcp_trace::{BatchStream, Instr, InstrBatch, TraceSource, BATCH_CAPACITY};
+use ipcp_trace::{
+    BatchStream, Instr, InstrBatch, MemOp, TraceSource, BATCH_CAPACITY, KIND_LOAD, KIND_NONE,
+    KIND_STORE,
+};
 
 use crate::rng::Rng64;
 
 /// Bytes per cache line, re-exported for address math in generators.
 const LINE: u64 = ipcp_mem::LINE_BYTES;
 
-/// Cap on the memoized stream prefix, in instructions (~17 bytes each).
-/// Below the cap a trace's generator closure runs once per process; every
-/// batch stream after the first refills by per-column `memcpy`. Past the
-/// cap a stream falls back to a private generator — the exact cost the
-/// un-memoized path paid for every stream.
+/// Cap on the memoized stream prefix, in instructions. A memoized
+/// instruction costs 9 bytes (its IP and kind byte) plus 8 more when it
+/// accesses memory: ~13.1 bytes each on the memory-intensive suite, ~10.4
+/// on the front-end suite. Below the cap a trace's generator closure runs
+/// once per process; every batch stream after the first replays the memo.
+/// Past the cap a stream falls back to a private generator — the exact
+/// cost the un-memoized path paid for every stream.
 const MEMO_CAP: usize = 4_000_000;
 
-/// Generator pull granularity when extending the memo (amortizes the lock
-/// and the per-instruction closure dispatch).
+/// Instructions per memo chunk: the memo's allocation unit, and how much
+/// is pulled from the generator at a time (amortizing the lock and the
+/// per-instruction closure dispatch).
 const MEMO_CHUNK: usize = 16 * BATCH_CAPACITY;
 
-/// Columnar memo of a generator's stream prefix, shared by every batch
-/// stream of one [`SynthTrace`]. The canonical generator is parked exactly
-/// at `ips.len()` so extension is pure continuation — instruction values
-/// are identical to direct iteration by construction.
+/// The generator closure every stream of one trace is made from.
+type MakeStream = Arc<dyn Fn() -> Box<dyn Iterator<Item = Instr> + Send> + Send + Sync>;
+
+/// One immutable run of a trace's memo: [`MEMO_CHUNK`] instructions, fewer
+/// only in the last chunk (at [`MEMO_CAP`], or where a finite generator
+/// ran dry). Its columns are allocated at full-chunk size and never grow;
+/// only a partial last chunk is shrunk to fit.
+struct MemoChunk {
+    ips: Box<[u64]>,
+    kinds: Box<[u8]>,
+    /// The addresses of the chunk's memory instructions only, in order;
+    /// a reader walks it with its own running cursor.
+    addrs: Box<[u64]>,
+}
+
+/// The memoized stream prefix of one [`SynthTrace`], shared by all of its
+/// batch streams. The canonical generator is parked exactly at `len`, so
+/// extension is pure continuation — instruction values are identical to
+/// direct iteration by construction.
 #[derive(Default)]
 struct MemoCols {
-    ips: Vec<u64>,
-    kinds: Vec<u8>,
-    addrs: Vec<u64>,
+    chunks: Vec<Arc<MemoChunk>>,
+    /// Instructions memoized (the chunks' total).
+    len: usize,
     gen: Option<Box<dyn Iterator<Item = Instr> + Send>>,
     /// The generator ran dry (finite stream): the memo is the whole trace.
     exhausted: bool,
 }
 
 impl MemoCols {
-    fn len(&self) -> usize {
-        self.ips.len()
-    }
-
-    /// Extends the memo to at least `target` instructions (clamped to
-    /// [`MEMO_CAP`]), pulling [`MEMO_CHUNK`]-aligned amounts from the
-    /// canonical generator.
-    fn extend_to(
-        &mut self,
-        target: usize,
-        remake: &Arc<dyn Fn() -> Box<dyn Iterator<Item = Instr> + Send> + Send + Sync>,
-    ) {
-        let target = target.max(self.len() + MEMO_CHUNK).min(MEMO_CAP);
-        let gen = self.gen.get_or_insert_with(|| remake());
-        while self.ips.len() < target {
-            let Some(instr) = gen.next() else {
-                self.exhausted = true;
-                self.gen = None;
-                return;
-            };
-            let (kind, addr) = match instr.mem {
-                ipcp_trace::MemOp::None => (ipcp_trace::KIND_NONE, 0),
-                ipcp_trace::MemOp::Load(a) => (ipcp_trace::KIND_LOAD, a.raw()),
-                ipcp_trace::MemOp::Store(a) => (ipcp_trace::KIND_STORE, a.raw()),
-            };
-            self.ips.push(instr.ip.raw());
-            self.kinds.push(kind);
-            self.addrs.push(addr);
+    /// Appends the next chunk from the canonical generator. Call only
+    /// while the memo is below [`MEMO_CAP`] and not exhausted.
+    fn push_chunk(&mut self, make: &MakeStream) {
+        let n = MEMO_CHUNK.min(MEMO_CAP - self.len);
+        let gen = self.gen.get_or_insert_with(|| make());
+        let mut ips = Vec::with_capacity(n);
+        let mut kinds = Vec::with_capacity(n);
+        let mut addrs = Vec::with_capacity(n);
+        for instr in gen.by_ref().take(n) {
+            ips.push(instr.ip.raw());
+            kinds.push(match instr.mem {
+                MemOp::None => KIND_NONE,
+                MemOp::Load(a) => {
+                    addrs.push(a.raw());
+                    KIND_LOAD
+                }
+                MemOp::Store(a) => {
+                    addrs.push(a.raw());
+                    KIND_STORE
+                }
+            });
         }
-        if self.ips.len() >= MEMO_CAP {
-            // Cap reached: the canonical generator will never advance
-            // again, so its (potentially large) state can go.
+        self.len += ips.len();
+        if ips.len() < n {
+            self.exhausted = true;
+        }
+        if self.exhausted || self.len == MEMO_CAP {
+            // The canonical generator will never advance again, so its
+            // (potentially large) state can go.
             self.gen = None;
+        }
+        if !ips.is_empty() {
+            self.chunks.push(Arc::new(MemoChunk {
+                ips: ips.into_boxed_slice(),
+                kinds: kinds.into_boxed_slice(),
+                // An exact-size copy: the full-size fill buffer is freed.
+                addrs: addrs.as_slice().into(),
+            }));
         }
     }
 }
 
-/// Batch stream over a [`SynthTrace`]: serves from the shared columnar
-/// memo while inside the memoized prefix, and from a private continuation
-/// generator past [`MEMO_CAP`].
+/// Batch stream over a [`SynthTrace`]: replays the shared memo chunk by
+/// chunk while inside the memoized prefix, and reads a private
+/// continuation generator past [`MEMO_CAP`]. The memo's lock is taken
+/// once per chunk, to fetch (or first fill) the next one.
 struct MemoBatchStream {
     memo: Arc<Mutex<MemoCols>>,
-    remake: Arc<dyn Fn() -> Box<dyn Iterator<Item = Instr> + Send> + Send + Sync>,
+    make: MakeStream,
+    /// The chunk being replayed, and the index of the one after it.
+    chunk: Option<Arc<MemoChunk>>,
+    next_chunk: usize,
+    /// Cursors into `chunk`: its next row, and that row's place in the
+    /// chunk's sparse address column.
+    row: usize,
+    addr: usize,
+    /// Instructions delivered so far.
     pos: usize,
     tail: Option<Box<dyn Iterator<Item = Instr> + Send>>,
+}
+
+impl MemoBatchStream {
+    /// Moves to the next memo chunk, filling it first if no stream has
+    /// yet. Past the cap, switches to a private generator instead. Returns
+    /// false once a finite trace has run dry.
+    fn advance(&mut self) -> bool {
+        let mut m = self.memo.lock().expect("trace memo poisoned");
+        if self.next_chunk == m.chunks.len() && !m.exhausted && m.len < MEMO_CAP {
+            m.push_chunk(&self.make);
+        }
+        if let Some(c) = m.chunks.get(self.next_chunk) {
+            self.chunk = Some(Arc::clone(c));
+            self.next_chunk += 1;
+            (self.row, self.addr) = (0, 0);
+            return true;
+        }
+        if m.exhausted {
+            return false;
+        }
+        drop(m);
+        // Past the cap: regenerate privately and skip the memoized prefix
+        // (once per stream — the cost every stream used to pay anyway).
+        let mut it = (self.make)();
+        if it.by_ref().take(self.pos).count() < self.pos {
+            return false;
+        }
+        self.chunk = None;
+        self.tail = Some(it);
+        true
+    }
 }
 
 impl BatchStream for MemoBatchStream {
     fn next_batch(&mut self, out: &mut InstrBatch) -> usize {
         out.clear();
-        if let Some(tail) = &mut self.tail {
-            for instr in tail.by_ref().take(BATCH_CAPACITY) {
-                out.push(instr);
+        while out.len() < BATCH_CAPACITY {
+            if let Some(tail) = &mut self.tail {
+                let before = out.len();
+                for instr in tail.by_ref().take(BATCH_CAPACITY - before) {
+                    out.push(instr);
+                }
+                self.pos += out.len() - before;
+                break;
             }
-            self.pos += out.len();
-            return out.len();
+            let Some(c) = self.chunk.as_deref().filter(|c| self.row < c.ips.len()) else {
+                if self.advance() {
+                    continue;
+                }
+                break;
+            };
+            let n = (c.ips.len() - self.row).min(BATCH_CAPACITY - out.len());
+            let rows = self.row..self.row + n;
+            self.addr +=
+                out.extend_from_sparse(&c.ips[rows.clone()], &c.kinds[rows], &c.addrs[self.addr..]);
+            self.row += n;
+            self.pos += n;
         }
-        {
-            let mut m = self.memo.lock().expect("trace memo poisoned");
-            if self.pos + BATCH_CAPACITY > m.len() && !m.exhausted && m.len() < MEMO_CAP {
-                m.extend_to(self.pos + BATCH_CAPACITY, &self.remake);
-            }
-            if self.pos < m.len() {
-                let n = (m.len() - self.pos).min(BATCH_CAPACITY);
-                let (a, b) = (self.pos, self.pos + n);
-                out.extend_from_columns(&m.ips[a..b], &m.kinds[a..b], &m.addrs[a..b]);
-                self.pos += n;
-                return n;
-            }
-            if m.exhausted {
-                return 0;
-            }
-        }
-        // Past the cap: regenerate privately and skip the memoized prefix
-        // (once per stream — the cost every stream used to pay anyway).
-        let mut it = (self.remake)();
-        for _ in 0..self.pos {
-            if it.next().is_none() {
-                return 0;
-            }
-        }
-        self.tail = Some(it);
-        self.next_batch(out)
+        out.len()
     }
 }
 
@@ -147,7 +203,7 @@ pub struct SynthTrace {
 
 struct SynthTraceInner {
     name: String,
-    make: Arc<dyn Fn() -> Box<dyn Iterator<Item = Instr> + Send> + Send + Sync>,
+    make: MakeStream,
     /// Shared columnar memo of the stream prefix (see [`MemoCols`]).
     memo: Arc<Mutex<MemoCols>>,
 }
@@ -156,7 +212,11 @@ impl SynthTraceInner {
     fn open_batches(&self) -> Box<dyn BatchStream> {
         Box::new(MemoBatchStream {
             memo: Arc::clone(&self.memo),
-            remake: Arc::clone(&self.make),
+            make: Arc::clone(&self.make),
+            chunk: None,
+            next_chunk: 0,
+            row: 0,
+            addr: 0,
             pos: 0,
             tail: None,
         })
@@ -237,6 +297,17 @@ impl TraceSource for SynthTrace {
     }
 }
 
+/// `(x + 1) % n` for `x < n` — every generator's wrap counter — as a
+/// compare-and-reset instead of a division.
+fn next_wrapping<T: Copy + PartialEq + std::ops::Add<Output = T> + From<u8>>(x: T, n: T) -> T {
+    let y = x + T::from(1);
+    if y == n {
+        T::from(0)
+    } else {
+        y
+    }
+}
+
 /// Shared emission state: interleaves `pad` non-memory instructions after
 /// every memory instruction, with a code footprint of `code_ips` static IPs
 /// for the pad instructions (models I-side pressure where wanted).
@@ -265,7 +336,7 @@ impl Mixer {
             return None;
         }
         self.pad_left -= 1;
-        self.pad_cursor = (self.pad_cursor + 1) % self.code_ips;
+        self.pad_cursor = next_wrapping(self.pad_cursor, self.code_ips);
         Some(Instr::nop(self.code_base + self.pad_cursor * 4))
     }
 
@@ -329,7 +400,7 @@ pub fn constant_stride(
                 Some((p, m)) => (p, m, true),
                 None => {
                     let p = pair;
-                    pair = (pair + 1) % npairs;
+                    pair = next_wrapping(pair, npairs);
                     let first = rng.below(2) as u32;
                     // Odd total IP count: the last pair has one member only.
                     if (p as u32 * 2 + 1) < ips {
@@ -391,7 +462,7 @@ pub fn complex_stride(
                 Some((p, m)) => (p, m, true),
                 None => {
                     let p = pair;
-                    pair = (pair + 1) % npairs;
+                    pair = next_wrapping(pair, npairs);
                     let first = rng.below(2) as u32;
                     if (p as u32 * 2 + 1) < ips {
                         pending = Some((p, 1 - first));
@@ -404,7 +475,7 @@ pub fn complex_stride(
             let line = cursor[p] % footprint_lines;
             if advance {
                 let step = pattern[phase[p]];
-                phase[p] = (phase[p] + 1) % pattern.len();
+                phase[p] = next_wrapping(phase[p], pattern.len());
                 cursor[p] = cursor[p]
                     .wrapping_add_signed(step)
                     .rem_euclid(footprint_lines);
@@ -571,7 +642,7 @@ pub fn large_code(
                 return Some(ins);
             }
             let k = which;
-            which = (which + 1) % static_ips as usize;
+            which = next_wrapping(which, static_ips as usize);
             cursor[k] = (cursor[k] + 2) % footprint_lines;
             let addr = 0x9000_0000 + (k as u64 * footprint_lines + cursor[k]) * LINE;
             mixer.arm();
@@ -593,7 +664,7 @@ pub fn resident(name: &str, ws_lines: u64, pad: u32) -> SynthTrace {
             if let Some(ins) = mixer.pad_instr() {
                 return Some(ins);
             }
-            cursor = (cursor + 1) % ws_lines;
+            cursor = next_wrapping(cursor, ws_lines);
             count += 1;
             mixer.arm();
             let addr = 0xa000_0000 + cursor * LINE;
@@ -633,7 +704,7 @@ pub fn sparse(
                 let line = rng.below(footprint_lines);
                 Some(Instr::load(0x56_0248, 0xc000_0000 + line * LINE))
             } else {
-                cursor = (cursor + 1) % ws_lines;
+                cursor = next_wrapping(cursor, ws_lines);
                 Some(Instr::load(0x56_0124, 0xb000_0000 + cursor * LINE))
             }
         }))
@@ -682,7 +753,7 @@ pub fn deep_calls(
             let ip = code_base + (u64::from(cur) * u64::from(body_instrs) + u64::from(pos)) * 4;
             count += 1;
             let instr = if count.is_multiple_of(6) {
-                data_cursor = (data_cursor + 1) % data_lines;
+                data_cursor = next_wrapping(data_cursor, data_lines);
                 Instr::load(ip, 0x3000_0000 + data_cursor * LINE)
             } else {
                 Instr::nop(ip)
@@ -698,7 +769,7 @@ pub fn deep_calls(
                         pos = p;
                     }
                     None => {
-                        root = (root + 1) % fns;
+                        root = next_wrapping(root, fns);
                         cur = root;
                         pos = 0;
                     }
@@ -766,7 +837,7 @@ pub fn hot_cold_code(
                     cur = rng.below(u64::from(cold_fns)) as u32;
                 } else {
                     in_cold = false;
-                    hot_rr = (hot_rr + 1) % hot_fns;
+                    hot_rr = next_wrapping(hot_rr, hot_fns);
                     cur = hot_rr;
                 }
             }
@@ -794,7 +865,7 @@ pub fn blend(name: &str, parts: Vec<(SynthTrace, u32)>) -> SynthTrace {
         let mut left = weights[0];
         Box::new(std::iter::from_fn(move || {
             while left == 0 {
-                idx = (idx + 1) % streams.len();
+                idx = next_wrapping(idx, streams.len());
                 left = weights[idx];
             }
             left -= 1;
@@ -815,7 +886,7 @@ pub fn phased(name: &str, parts: Vec<SynthTrace>, phase_len: u64) -> SynthTrace 
         let mut left = phase_len;
         Box::new(std::iter::from_fn(move || {
             if left == 0 {
-                idx = (idx + 1) % streams.len();
+                idx = next_wrapping(idx, streams.len());
                 left = phase_len;
             }
             left -= 1;
@@ -849,7 +920,7 @@ pub fn server(
                 return Some(ins);
             }
             let line = seq[pos];
-            pos = (pos + 1) % seq.len();
+            pos = next_wrapping(pos, seq.len());
             mixer.arm();
             let ip = 0x2100_0000 + (line % 997) * 16; // many data IPs too
             Some(Instr::load(ip, 0xd000_0000 + line * LINE))
@@ -890,7 +961,7 @@ pub fn tensor_streams(
                 let addr = 0xe000_0000 + (s as u64) * (1 << 30) + (cursors[k] % (1 << 22)) * LINE;
                 Some(Instr::load(0x57_009c + u64::from(s) * 36, addr))
             } else if s == streams {
-                reuse_cursor = (reuse_cursor + 1) % reuse_lines.max(1);
+                reuse_cursor = next_wrapping(reuse_cursor, reuse_lines.max(1));
                 Some(Instr::load(0x57_8134, 0xf000_0000 + reuse_cursor * LINE))
             } else {
                 out_cursor += 1;
@@ -915,6 +986,15 @@ mod tests {
             .take(n)
             .map(|i| (i.ip.raw(), i.vaddr().unwrap().line().raw()))
             .collect()
+    }
+
+    #[test]
+    fn next_wrapping_is_increment_modulo_n() {
+        for n in 1..40u64 {
+            for x in 0..n {
+                assert_eq!(next_wrapping(x, n), (x + 1) % n);
+            }
+        }
     }
 
     #[test]
