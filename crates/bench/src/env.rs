@@ -84,10 +84,6 @@ pub const KNOBS: &[Knob] = &[
         name: "IPCP_SCHED_STATS",
         summary: "boolean: export wakeup-scheduler counters (wakeups fired, executed/skipped cycles, heap peak) into report JSON as a \"sched\" object — changes report bytes, so leave unset for golden/oracle comparisons",
     },
-    Knob {
-        name: "IPCP_PHASE_STATS",
-        summary: "boolean: export coarse wall-clock phase timers (decode/issue/fill/train/drain ns) into report JSON as a \"phases\" object — nondeterministic and changes report bytes, so leave unset for golden/oracle comparisons (perf_smoke --profile sets it)",
-    },
 ];
 
 /// A set-but-malformed environment value: which knob, what it held, and
@@ -277,25 +273,14 @@ pub fn no_fastpath() -> Result<bool, EnvError> {
 }
 
 /// `IPCP_SCHED_STATS`: whether simulator reports carry wakeup-scheduler
-/// observability counters (the `System` reads the variable itself at
-/// construction with the same boolean grammar; this accessor exists so
-/// bench-layer tooling can gate aggregation and validation on it).
+/// observability counters. The `System` reads the variable itself at
+/// construction and takes any word outside the disabled set as "on"; the
+/// tools call this accessor before they simulate, so a malformed value
+/// exits 2 instead of silently changing report bytes.
 pub fn sched_stats() -> Result<bool, EnvError> {
     parse_bool(
         "IPCP_SCHED_STATS",
         raw("IPCP_SCHED_STATS")?.as_deref(),
-        false,
-    )
-}
-
-/// `IPCP_PHASE_STATS`: whether simulator reports carry wall-clock phase
-/// timers (the `System` reads the variable itself at construction; this
-/// accessor exists so bench-layer tooling can gate on it with the shared
-/// boolean grammar).
-pub fn phase_stats() -> Result<bool, EnvError> {
-    parse_bool(
-        "IPCP_PHASE_STATS",
-        raw("IPCP_PHASE_STATS")?.as_deref(),
         false,
     )
 }
@@ -385,7 +370,6 @@ mod tests {
             "IPCP_INTERVAL",
             "IPCP_NO_FASTPATH",
             "IPCP_SCHED_STATS",
-            "IPCP_PHASE_STATS",
         ] {
             assert!(names.contains(&expected), "catalogue missing {expected}");
         }

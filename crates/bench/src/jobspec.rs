@@ -73,13 +73,15 @@ impl JobSpec {
     }
 
     /// The settings in the ambient `IPCP_*` environment. Validates every
-    /// knob a job depends on, `IPCP_SIMCACHE` included: a set-but-malformed
-    /// knob prints its name and value and exits with status 2
-    /// ([`env::or_die`]), so a typo stops a sweep before the first
-    /// simulation.
+    /// knob a job depends on, `IPCP_SIMCACHE` and `IPCP_SCHED_STATS`
+    /// included (both are read later, by the cache and the `System`): a
+    /// set-but-malformed knob prints its name and value and exits with
+    /// status 2 ([`env::or_die`]), so a typo stops a sweep before the
+    /// first simulation.
     pub fn from_ambient() -> Self {
         let parse = || -> Result<Self, env::EnvError> {
             env::simcache_enabled()?;
+            env::sched_stats()?;
             let defaults = Self::default();
             let mut spec = match env::raw("IPCP_SCALE")? {
                 Some(scale) => defaults.scale_spec(&scale)?,

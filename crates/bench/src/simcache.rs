@@ -254,16 +254,13 @@ impl SimCache {
 }
 
 /// The report as a cache hit returns it: wakeup-scheduler observability
-/// counters (`IPCP_SCHED_STATS`) and wall-clock phase timers
-/// (`IPCP_PHASE_STATS`) are per-run diagnostics that no part of the
-/// content key captures — the timers are not even deterministic — so
-/// they are stripped before an entry is published, and a warm hit replays
-/// the same bytes whether or not the knobs were set when the entry was
-/// produced.
+/// counters (`IPCP_SCHED_STATS`) are a per-run diagnostic that no part of
+/// the content key captures, so they are stripped before an entry is
+/// published, and a warm hit replays the same bytes whether or not the
+/// knob was set when the entry was produced.
 pub(crate) fn canonical(report: &SimReport) -> SimReport {
     let mut canonical = report.clone();
     canonical.sched = None;
-    canonical.phases = None;
     canonical
 }
 

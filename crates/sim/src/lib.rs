@@ -52,6 +52,6 @@ pub use config::{
     CacheConfig, CoreConfig, Cycle, DramConfig, ReplacementKind, SimConfig, TlbConfig,
 };
 pub use sched::SchedStats;
-pub use stats::{CacheStats, CoreReport, CoreStats, DramStats, PhaseStats, SimReport, TlbStats};
+pub use stats::{CacheStats, CoreReport, CoreStats, DramStats, SimReport, TlbStats};
 pub use system::{run_single, run_single_with_l1i, weighted_speedup, CoreSetup, System};
 pub use telemetry::{FromJson, JsonValue, Sample, Sampler, ToJson};

@@ -214,32 +214,6 @@ impl TlbStats {
     }
 }
 
-/// Coarse host-side phase timers over the demand pipeline (`None` unless
-/// the `IPCP_PHASE_STATS` knob is set). These are wall-clock nanoseconds —
-/// observability, not simulated state: two runs of the same workload never
-/// produce the same values, so serialized reports strip them (see
-/// `SimCache::store_report`) exactly like the scheduler counters.
-///
-/// `train_ns` is *nested* inside `issue_ns`/`fill_ns`/`drain_ns` (the
-/// prefetcher hooks fire from within those phases), so the five fields
-/// overlap rather than partition the run time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseStats {
-    /// Instruction fetch/dispatch: batch refill, derived-column compute,
-    /// L1I probes, ROB pushes.
-    pub decode_ns: u64,
-    /// Retire plus demand issue (translate → L1D probe → miss chains),
-    /// including nested training time.
-    pub issue_ns: u64,
-    /// Fill processing (MSHR drain, installs, write-backs).
-    pub fill_ns: u64,
-    /// Prefetcher hook time (access/arrival/cycle hooks and the request
-    /// enqueues they emit); nested within the other phases.
-    pub train_ns: u64,
-    /// Prefetch-queue drains into the lower levels.
-    pub drain_ns: u64,
-}
-
 /// Per-core statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
@@ -299,10 +273,6 @@ pub struct SimReport {
     /// [`crate::sched::SchedStats`]). Absent from the serialized report
     /// when `None`, so figure outputs stay byte-identical by default.
     pub sched: Option<crate::sched::SchedStats>,
-    /// Host-side phase timers (`None` unless `IPCP_PHASE_STATS` is set —
-    /// see [`PhaseStats`]). Wall-clock, non-deterministic by nature;
-    /// stripped from cached/serialized reports like `sched`.
-    pub phases: Option<PhaseStats>,
 }
 
 impl SimReport {

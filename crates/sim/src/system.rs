@@ -44,7 +44,7 @@ use crate::prefetch::{
     Prefetcher, VecSink,
 };
 use crate::sched::{self, Calendar, SchedStats};
-use crate::stats::{CoreReport, CoreStats, PhaseStats, SimReport};
+use crate::stats::{CoreReport, CoreStats, SimReport};
 use crate::telemetry::{Occupancy, Sampler, Snapshot};
 use crate::tlb::Tlb;
 use crate::vmem::PageMapper;
@@ -438,12 +438,6 @@ pub struct System {
     sstats: SchedStats,
     /// `IPCP_SCHED_STATS` was set at construction.
     sched_stats_export: bool,
-    /// `IPCP_PHASE_STATS` was set at construction: coarse wall-clock phase
-    /// timers accumulate into `phases` (observability only — see
-    /// [`PhaseStats`]; the disabled path costs one branch per phase).
-    phase_on: bool,
-    /// Accumulated phase timers (exported only when `phase_on`).
-    phases: PhaseStats,
 }
 
 impl std::fmt::Debug for System {
@@ -550,27 +544,6 @@ impl System {
             sample_due_abs: u64::MAX,
             sstats: SchedStats::default(),
             sched_stats_export: env_flag("IPCP_SCHED_STATS"),
-            phase_on: env_flag("IPCP_PHASE_STATS"),
-            phases: PhaseStats::default(),
-        }
-    }
-
-    /// Starts a phase timer (`None` when phase stats are off, so the hot
-    /// path pays one predictable branch).
-    #[inline]
-    fn phase_start(&self) -> Option<std::time::Instant> {
-        if self.phase_on {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Accumulates a phase timer started by [`System::phase_start`].
-    #[inline]
-    fn phase_add(field: &mut u64, t0: Option<std::time::Instant>) {
-        if let Some(t0) = t0 {
-            *field += t0.elapsed().as_nanos() as u64;
         }
     }
 
@@ -686,9 +659,7 @@ impl System {
             self.sstats.wakeups_fired += 1;
         }
         if due != 0 {
-            let t0 = self.phase_start();
             activity |= self.process_due_fills(due);
-            Self::phase_add(&mut self.phases.fill_ns, t0);
         }
 
         // PQ drains. The snapshot makes mid-phase enqueues wait for the
@@ -697,7 +668,6 @@ impl System {
         // metadata arrival, targets the same core's L2 — a queue whose
         // check has already passed in either scheme).
         if self.pq_active != 0 {
-            let t0 = self.phase_start();
             let mut bits = self.pq_active;
             while bits != 0 {
                 let b = bits.trailing_zeros();
@@ -731,7 +701,6 @@ impl System {
                     }
                 }
             }
-            Self::phase_add(&mut self.phases.drain_ns, t0);
         }
 
         // Cores, gated on their wake cycle. A skipped core would have
@@ -747,7 +716,6 @@ impl System {
             let missed = self.sstats.executed_cycles - self.last_touch[ci];
             self.cores[ci].stall_cycles += missed;
             self.last_touch[ci] = self.sstats.executed_cycles + 1;
-            let t0 = self.phase_start();
             let retired = self.retire(ci);
             if retired == 0 {
                 self.cores[ci].stall_cycles += 1;
@@ -758,10 +726,7 @@ impl System {
             if !self.cores[ci].pending.is_empty() {
                 activity |= self.issue_fused(ci) > 0;
             }
-            Self::phase_add(&mut self.phases.issue_ns, t0);
-            let t0 = self.phase_start();
             activity |= self.fetch_fast(ci) > 0;
-            Self::phase_add(&mut self.phases.decode_ns, t0);
             self.wake_at[ci] = self.core_wake(ci);
         }
 
@@ -996,7 +961,6 @@ impl System {
                 st.heap_peak = self.cal.heap_peak();
                 st
             }),
-            phases: self.phase_on.then_some(self.phases),
         }
     }
 
@@ -1042,11 +1006,8 @@ impl System {
                 .iter()
                 .any(|c| c.l2.fill_due(now) || c.l1d.fill_due(now) || c.l1i.fill_due(now));
         if fills_due {
-            let t0 = self.phase_start();
             activity |= self.process_fills();
-            Self::phase_add(&mut self.phases.fill_ns, t0);
         }
-        let t0 = self.phase_start();
         if self.llc.pq_len() > 0 {
             activity |= self.drain_llc_pq();
         }
@@ -1061,9 +1022,7 @@ impl System {
                 activity |= self.drain_l1i_pq(ci);
             }
         }
-        Self::phase_add(&mut self.phases.drain_ns, t0);
         for ci in 0..self.cores.len() {
-            let t0 = self.phase_start();
             let retired = self.retire(ci);
             if retired == 0 {
                 self.cores[ci].stall_cycles += 1;
@@ -1074,10 +1033,7 @@ impl System {
             if !self.cores[ci].pending.is_empty() {
                 activity |= self.issue(ci) > 0;
             }
-            Self::phase_add(&mut self.phases.issue_ns, t0);
-            let t0 = self.phase_start();
             activity |= self.fetch(ci) > 0;
-            Self::phase_add(&mut self.phases.decode_ns, t0);
         }
         self.run_on_cycle_hooks();
         activity
@@ -1988,7 +1944,6 @@ impl System {
         if self.cores[ci].l1d_pf_noop {
             return;
         }
-        let t0 = self.phase_start();
         let (vline, ip) = (pm.vline, pm.ip);
         let dram_utilization = self.dram.utilization();
         let core = &mut self.cores[ci];
@@ -2029,7 +1984,6 @@ impl System {
         }
         sink.dropped = 0;
         self.pf_scratch = sink;
-        Self::phase_add(&mut self.phases.train_ns, t0);
     }
 
     /// The L1-I twin of [`System::run_l1d_prefetcher`], invoked from every
@@ -2050,7 +2004,6 @@ impl System {
         if self.cores[ci].l1i_pf_noop {
             return;
         }
-        let t0 = self.phase_start();
         let dram_utilization = self.dram.utilization();
         let core = &mut self.cores[ci];
         let info = AccessInfo {
@@ -2074,7 +2027,6 @@ impl System {
         }
         sink.dropped = 0;
         self.pf_scratch = sink;
-        Self::phase_add(&mut self.phases.train_ns, t0);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -2091,7 +2043,6 @@ impl System {
         if self.cores[ci].l2_pf_noop {
             return;
         }
-        let t0 = self.phase_start();
         let dram_utilization = self.dram.utilization();
         let core = &mut self.cores[ci];
         let info = AccessInfo {
@@ -2115,14 +2066,12 @@ impl System {
         }
         sink.dropped = 0;
         self.pf_scratch = sink;
-        Self::phase_add(&mut self.phases.train_ns, t0);
     }
 
     fn run_l2_prefetcher_arrival(&mut self, ci: usize, qp: &QueuedPrefetch) {
         if self.cores[ci].l2_pf_noop {
             return;
         }
-        let t0 = self.phase_start();
         let core = &mut self.cores[ci];
         let arrival = MetadataArrival {
             cycle: self.now,
@@ -2141,7 +2090,6 @@ impl System {
         }
         sink.dropped = 0;
         self.pf_scratch = sink;
-        Self::phase_add(&mut self.phases.train_ns, t0);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -2158,7 +2106,6 @@ impl System {
         if self.llc_pf_noop {
             return;
         }
-        let t0 = self.phase_start();
         let info = AccessInfo {
             cycle: self.now,
             ip,
@@ -2180,7 +2127,6 @@ impl System {
         }
         sink.dropped = 0;
         self.pf_scratch = sink;
-        Self::phase_add(&mut self.phases.train_ns, t0);
     }
 
     fn enqueue_l1_request(&mut self, ci: usize, req: PrefetchRequest, ip: Ip) {
@@ -2397,9 +2343,10 @@ fn fill_info(now: Cycle, m: &Mshr, evicted: Option<crate::cache::Evicted>) -> Fi
     }
 }
 
-/// Boolean observability knob (`IPCP_SCHED_STATS`, `IPCP_PHASE_STATS`)
-/// with the env catalogue's semantics (empty, `0`, `false`, `off`, `no`
-/// mean disabled), read once at construction.
+/// Boolean observability knob (`IPCP_SCHED_STATS`), read once at
+/// construction: empty, `0`, `false`, `off` and `no` mean disabled and any
+/// other value enables it. The tools reject a malformed value through
+/// `ipcp_bench::env` before they build a `System`.
 fn env_flag(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| {
         !matches!(

@@ -727,41 +727,7 @@ impl ToJson for SimReport {
         if let Some(sched) = self.sched {
             v.insert("sched", sched.to_json());
         }
-        // Phase timers likewise appear only under `IPCP_PHASE_STATS`; the
-        // simcache strips them before persisting (wall-clock values are
-        // never deterministic).
-        if let Some(phases) = self.phases {
-            v.insert("phases", phases.to_json());
-        }
         v
-    }
-}
-
-impl ToJson for crate::stats::PhaseStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj()
-            .set("decode_ns", self.decode_ns)
-            .set("issue_ns", self.issue_ns)
-            .set("fill_ns", self.fill_ns)
-            .set("train_ns", self.train_ns)
-            .set("drain_ns", self.drain_ns)
-    }
-}
-
-impl FromJson for crate::stats::PhaseStats {
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let field = |name: &str| -> Result<u64, String> {
-            v.get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("phases: missing or non-integer `{name}`"))
-        };
-        Ok(Self {
-            decode_ns: field("decode_ns")?,
-            issue_ns: field("issue_ns")?,
-            fill_ns: field("fill_ns")?,
-            train_ns: field("train_ns")?,
-            drain_ns: field("drain_ns")?,
-        })
     }
 }
 
@@ -950,11 +916,6 @@ impl FromJson for SimReport {
             None => None,
             Some(s) => Some(crate::sched::SchedStats::from_json(s)?),
         };
-        // `phases` is absent unless phase timing was enabled.
-        let phases = match v.get("phases") {
-            None => None,
-            Some(p) => Some(crate::stats::PhaseStats::from_json(p)?),
-        };
         Ok(Self {
             cores,
             llc: CacheStats::from_json(field(v, "llc")?)?,
@@ -962,7 +923,6 @@ impl FromJson for SimReport {
             cycles: u64_field(v, "cycles")?,
             samples,
             sched,
-            phases,
         })
     }
 }

@@ -85,6 +85,9 @@ fn main() {
         )),
     });
 
+    // The `System` reads `IPCP_SCHED_STATS` itself and takes any unknown
+    // word as "on"; reject a malformed value before simulating.
+    ipcp_bench::env::or_die(ipcp_bench::env::sched_stats());
     let trace = load(name);
     let r = run(trace.clone(), &combo, warmup, instrs, interval);
     if args.has_flag("json") {

@@ -16,7 +16,8 @@
 //! Positional names must each appear in the manifest with `ok: true` and
 //! a sidecar — the CI job uses this to pin the subset it ran.
 //!
-//! `--bench FILE` validates a `perf_smoke` throughput record instead of a
+//! `--bench FILE` validates the frozen `BENCH_perf.json` throughput
+//! history (written by earlier versions of `perf_smoke`) instead of a
 //! results directory: the document schema must be the supported version,
 //! every entry must carry a label, a positive wall clock and throughput,
 //! and a well-formed scale, and the entry list must be monotone
@@ -196,8 +197,8 @@ impl Checker {
     }
 }
 
-/// The `--bench` mode: structural + monotonicity checks on a
-/// `BENCH_perf.json` produced by `perf_smoke`.
+/// The `--bench` mode: structural + monotonicity checks on the frozen
+/// `BENCH_perf.json` throughput history.
 fn check_bench(c: &mut Checker, path: &Path) {
     let Some(doc) = c.load(path) else { return };
     let loc = path.display().to_string();

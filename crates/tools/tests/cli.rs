@@ -2,8 +2,9 @@
 //! option without its value or with one that does not parse, and an
 //! unknown experiment name exit 2 with the usage before the tool does
 //! anything, and a declared bare flag never swallows the next token. The
-//! driver hands its settings to the figures it runs. A tool whose stdout
-//! reader has gone away exits 0.
+//! driver hands its settings to the figures it runs. A malformed knob
+//! exits 2 before anything simulates. A tool whose stdout reader has gone
+//! away exits 0.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -108,6 +109,7 @@ fn every_tool_rejects_a_mistyped_flag() {
             env!("CARGO_BIN_EXE_tracegen"),
             &["bwaves-cs1", "t.trace", "--instrucions", "10"],
         ),
+        (env!("CARGO_BIN_EXE_perf_smoke"), &["--check"]),
     ] {
         let out = run_in(&dir, exe, args);
         assert_usage_error(&out, "unknown option --");
@@ -177,6 +179,75 @@ fn experiments_passes_fe_footprints_to_fe01() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A malformed `IPCP_SCHED_STATS` stops each simulating tool with exit 2
+/// before it simulates, as every other malformed knob does; the `System`
+/// alone would read the unknown word as "on" and change report bytes.
+#[test]
+fn malformed_sched_stats_exits_2_before_running() {
+    let dir = scratch("sched");
+    let env = [("IPCP_SCHED_STATS", "maybe"), ("IPCP_SCALE", "1000,2000")];
+    for (exe, args) in [
+        (
+            env!("CARGO_BIN_EXE_experiments"),
+            &["fe01_l1i_mpki", "--jobs", "1"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_simrun"),
+            &["bwaves-cs1", "--warmup", "100", "--instructions", "1000"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_ipcp_check"),
+            &["--skip-invariants", "--skip-oracle"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_perf_smoke"),
+            &["--only", "none", "--iters", "1"],
+        ),
+    ] {
+        let out = run_with(&dir, exe, args, &env);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{exe}: {stderr}");
+        assert!(
+            stderr.contains("IPCP_SCHED_STATS") && stderr.contains("\"maybe\""),
+            "{exe}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{exe} printed before failing");
+    }
+    assert!(
+        !dir.join("results").exists(),
+        "the driver must write no sidecar or report"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// perf_smoke fingerprints every iteration's reports and reports them
+/// identical; it writes no file.
+#[test]
+fn perf_smoke_checks_every_iteration() {
+    let dir = scratch("perf-smoke");
+    let out = run_with(
+        &dir,
+        env!("CARGO_BIN_EXE_perf_smoke"),
+        &["--only", "ipcp", "--iters", "2"],
+        &[("IPCP_SCALE", "1000,2000")],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.lines().any(|l| l.starts_with("ipcp: fingerprint ")
+            && l.ends_with("identical across 2 iteration(s)")),
+        "{stdout}"
+    );
+    assert!(stdout.contains(" instr/s "), "{stdout}");
+    assert!(
+        stdout.lines().all(|l| l.starts_with("ipcp: ")),
+        "--only ran another bench: {stdout}"
+    );
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A listing or printing command whose reader has already gone away (as
 /// in `experiments --list | head -1`) stops quietly with status 0, where
 /// `println!` would panic on `EPIPE` and exit 101.
@@ -212,10 +283,19 @@ fn printing_to_a_closed_pipe_exits_0() {
             env!("CARGO_BIN_EXE_ipcp_check"),
             &["--skip-invariants", "--skip-oracle"],
         ),
+        (
+            env!("CARGO_BIN_EXE_perf_smoke"),
+            &["--only", "none", "--iters", "1"],
+        ),
     ] {
         let (reader, writer) = std::io::pipe().unwrap();
         drop(reader);
-        let out = command(&dir, exe, args).stdout(writer).output().unwrap();
+        // perf_smoke simulates before it prints: keep that tiny.
+        let out = command(&dir, exe, args)
+            .env("IPCP_SCALE", "1000,2000")
+            .stdout(writer)
+            .output()
+            .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "{exe} {args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{exe} {args:?}: {stderr}");
