@@ -9,7 +9,7 @@ use crate::runner::Experiment;
 /// they are designed for the L2's access stream.
 pub fn fig07_l1_only(exp: &mut Experiment) {
     let traces = ipcp_workloads::memory_intensive_suite();
-    exp.speedup_comparison("Fig. 7: L1-only prefetchers", &traces, FIG7_COMBOS);
+    exp.speedup_comparison("Fig. 7: L1-only prefetchers", traces, FIG7_COMBOS);
     exp.note("paper: IPCP best-or-second (Bingo-119KB comparable at 160x the storage);");
     exp.note("       SPP at L1 clearly below its L2 reputation.");
 }

@@ -10,12 +10,12 @@ pub fn fig08_multilevel(exp: &mut Experiment) {
     let intensive = ipcp_workloads::memory_intensive_suite();
     exp.speedup_comparison(
         "Fig. 8 (top): memory-intensive traces",
-        &intensive,
+        intensive,
         TABLE3_COMBOS,
     );
     exp.blank();
     let full = ipcp_workloads::full_suite();
-    exp.speedup_comparison("Fig. 8 (bottom): full suite", &full, TABLE3_COMBOS);
+    exp.speedup_comparison("Fig. 8 (bottom): full suite", full, TABLE3_COMBOS);
     exp.note("paper: IPCP leads both averages (45.1% intensive / 22% full),");
     exp.note("       with the top three rivals within a few points of each other.");
 }

@@ -138,13 +138,29 @@ fn round3(v: f64) -> f64 {
     (v * 1000.0).round() / 1000.0
 }
 
+/// This process's peak resident set (`VmHWM` in `/proc/self/status`), in
+/// MB of 2^20 bytes; `None` where that file or line is missing.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(round3(kb / 1024.0))
+}
+
 /// Writes one `<results_dir>/<name>.json` per outcome plus the
 /// `<results_dir>/manifest.json` machine-readable summary. Outcomes appear
 /// in the manifest in the given (deterministic) order.
 ///
-/// Schema 4: the sweep's `jobs`, `scale`, `total_wall_secs` and `failed`
-/// count, aggregate `simcache` counters when any figure reported them,
-/// and one [`ExperimentOutcome::to_json`] entry per experiment.
+/// Schema 5: the sweep's `jobs`, `scale`, `total_wall_secs` and `failed`
+/// count, the writing process's [`peak_rss_mb`] (`null` where it cannot
+/// be read), aggregate `simcache` counters when any figure reported
+/// them, and one [`ExperimentOutcome::to_json`] entry per experiment.
 ///
 /// # Errors
 ///
@@ -164,12 +180,13 @@ pub fn write_results_json(
         )?;
     }
     let mut manifest = JsonValue::obj()
-        .set("schema", 4i64)
+        .set("schema", 5i64)
         .set("generated_by", "experiments driver (ipcp-tools)")
         .set("jobs", jobs)
         .set("scale", scale_env)
         .set("total_wall_secs", round3(total_wall.as_secs_f64()))
-        .set("failed", outcomes.iter().filter(|o| !o.ok).count());
+        .set("failed", outcomes.iter().filter(|o| !o.ok).count())
+        .set("peak_rss_mb", peak_rss_mb());
     // Aggregate simulation-cache counters across the sweep, when any
     // experiment reported them (CI asserts on these totals).
     let mut stats = outcomes.iter().filter_map(|o| o.simcache).peekable();
@@ -285,14 +302,14 @@ mod tests {
         ];
         write_results_json(&dir, 3, "default", Duration::from_secs(2), &outcomes).unwrap();
         let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-        // Substring shape of the schema-4 manifest.
-        assert!(manifest.contains("\"schema\": 4"));
+        // Substring shape of the schema-5 manifest.
+        assert!(manifest.contains("\"schema\": 5"));
         assert!(manifest.contains("\"jobs\": 3"));
         assert!(manifest.contains("\"failed\": 1"));
         assert!(manifest.contains("\"name\": \"fake_ok\""));
         assert!(
             !manifest.contains("exit_code"),
-            "schema 4 has no exit codes"
+            "schema 5 has no exit codes"
         );
         let per_run = std::fs::read_to_string(dir.join("fake_ok.json")).unwrap();
         assert!(per_run.contains("\"ok\": true"));
@@ -300,7 +317,13 @@ mod tests {
         // Structural round-trip through the shared parser: the manifest is
         // well-formed JSON carrying the expected values, escapes included.
         let m = JsonValue::parse(&manifest).unwrap();
-        assert_eq!(m.get("schema").unwrap().as_u64(), Some(4));
+        assert_eq!(m.get("schema").unwrap().as_u64(), Some(5));
+        // The writer's own peak RSS: positive where /proc reports it.
+        let rss = m.get("peak_rss_mb").unwrap();
+        match peak_rss_mb() {
+            Some(_) => assert!(rss.as_f64().unwrap() > 0.0),
+            None => assert!(rss.is_null()),
+        }
         assert_eq!(m.get("jobs").unwrap().as_u64(), Some(3));
         assert_eq!(m.get("scale").unwrap().as_str(), Some("default"));
         assert_eq!(m.get("total_wall_secs").unwrap().as_f64(), Some(2.0));

@@ -713,21 +713,17 @@ impl Experiment {
     /// The standard speedup comparison: every trace × every combo,
     /// normalized to no prefetching, as a table with a geomean footer.
     /// Returns per-combo speedup lists in trace order.
+    ///
+    /// Takes the traces by value and drops each one (and its memoized
+    /// stream) as soon as its row is done, so only one trace's memo is
+    /// alive at a time.
     pub fn speedup_comparison(
         &mut self,
         title: &str,
-        traces: &[SynthTrace],
+        traces: Vec<SynthTrace>,
         combo_names: &[&str],
     ) -> HashMap<String, Vec<f64>> {
         let scale = self.scale;
-        // Per trace, the baseline and then each combo.
-        let mut reports = Vec::new();
-        for trace in traces {
-            reports.push(self.run_combo("none", trace));
-            for &combo in combo_names {
-                reports.push(self.run_combo(combo, trace));
-            }
-        }
         let mut results: HashMap<String, Vec<f64>> = HashMap::new();
         let mut columns = vec!["trace"];
         columns.extend_from_slice(combo_names);
@@ -736,12 +732,11 @@ impl Experiment {
             scale.warmup / 1000,
             scale.instructions / 1000
         ));
-        let per_trace = 1 + combo_names.len();
-        for (ti, trace) in traces.iter().enumerate() {
-            let base_ipc = reports[ti * per_trace].ipc();
+        for trace in traces {
+            let base_ipc = self.run_combo("none", &trace).ipc();
             let mut row = vec![Cell::text(trace.name())];
-            for (ci, &combo) in combo_names.iter().enumerate() {
-                let sp = reports[ti * per_trace + 1 + ci].ipc() / base_ipc;
+            for &combo in combo_names {
+                let sp = self.run_combo(combo, &trace).ipc() / base_ipc;
                 results.entry(combo.to_string()).or_default().push(sp);
                 row.push(Cell::f3(sp));
             }

@@ -10,8 +10,8 @@
 //! an `IPCP_JOBS`-sized worker pool (default: one worker per core), runs
 //! each through `jobspec::execute`, writes each figure's text to
 //! `results/<name>.txt`, and writes structured JSON results
-//! (`results/<name>.json` per run plus a schema-4 `results/manifest.json`
-//! with wall times, errors, and simcache counters).
+//! (`results/<name>.json` per run plus a schema-5 `results/manifest.json`
+//! with wall times, errors, simcache counters and the driver's peak RSS).
 //! Unless the caller already set `IPCP_JSON`, the driver routes it to the
 //! results dir so every figure also drops its machine-readable sidecar at
 //! `results/<name>.data.json`.

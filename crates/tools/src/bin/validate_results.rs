@@ -8,9 +8,10 @@
 //! validate_results --bench BENCH_perf.json
 //! ```
 //!
-//! Checks that `manifest.json` parses, carries the expected schema (4),
-//! that every experiment the manifest marks as having a sidecar actually
-//! has one on disk, and that every `*.data.json` sidecar in the directory
+//! Checks that `manifest.json` parses, carries the expected schema (5)
+//! and a `peak_rss_mb` that is positive or `null`, that every experiment
+//! the manifest marks as having a sidecar actually has one on disk, and
+//! that every `*.data.json` sidecar in the directory
 //! is a well-formed figure document (schema, name, scale, rectangular
 //! tables, monotone series).
 //! Positional names must each appear in the manifest with `ok: true` and
@@ -314,8 +315,14 @@ fn main() {
     let mut missed_in: Vec<String> = Vec::new();
     if let Some(manifest) = c.load(&manifest_path) {
         let loc = manifest_path.display().to_string();
-        if manifest.get("schema").and_then(JsonValue::as_u64) != Some(4) {
-            c.problem(format!("{loc}: missing or wrong \"schema\" (want 4)"));
+        if manifest.get("schema").and_then(JsonValue::as_u64) != Some(5) {
+            c.problem(format!("{loc}: missing or wrong \"schema\" (want 5)"));
+        }
+        match manifest.get("peak_rss_mb") {
+            Some(v) if v.is_null() || v.as_f64().is_some_and(|mb| mb > 0.0) => {}
+            _ => c.problem(format!(
+                "{loc}: \"peak_rss_mb\" must be a positive number or null"
+            )),
         }
         match manifest.get("experiments").and_then(JsonValue::as_array) {
             Some(experiments) if !experiments.is_empty() => {

@@ -179,6 +179,45 @@ fn experiments_passes_fe_footprints_to_fe01() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The driver writes its own peak RSS into the manifest, and
+/// `validate_results` accepts a positive number or `null` there and
+/// rejects anything else, a missing key included.
+#[test]
+fn manifest_peak_rss_is_positive_or_null() {
+    let dir = scratch("peak-rss");
+    let out = run_in(&dir, env!("CARGO_BIN_EXE_experiments"), &["table1_storage"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let path = dir.join("results/manifest.json");
+    let manifest = std::fs::read_to_string(&path).unwrap();
+    let line = manifest
+        .lines()
+        .find(|l| l.trim_start().starts_with("\"peak_rss_mb\":"))
+        .expect("the manifest records peak_rss_mb");
+    let with = |value: &str| format!("  \"peak_rss_mb\": {value},");
+    for (replacement, valid) in [
+        (line.to_string(), true),
+        (with("null"), true),
+        (with("0"), false),
+        (with("-1.5"), false),
+        (with("\"12\""), false),
+        (String::new(), false),
+    ] {
+        std::fs::write(&path, manifest.replace(line, &replacement)).unwrap();
+        let out = run_in(
+            &dir,
+            env!("CARGO_BIN_EXE_validate_results"),
+            &["table1_storage"],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.success(), valid, "{replacement:?}: {stderr}");
+        if !valid {
+            assert!(stderr.contains("peak_rss_mb"), "{stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A malformed `IPCP_SCHED_STATS` stops each simulating tool with exit 2
 /// before it simulates, as every other malformed knob does; the `System`
 /// alone would read the unknown word as "on" and change report bytes.

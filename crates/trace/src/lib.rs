@@ -178,32 +178,49 @@ impl InstrBatch {
         self.addrs.extend_from_slice(addrs);
     }
 
-    /// Bulk-appends dense `ips`/`kinds` columns whose addresses are stored
-    /// sparsely: `mem_addrs` holds one address per memory instruction, in
-    /// order, and none for the rest. The batch's address column gets them
-    /// back in place, with 0 for every non-memory instruction — the same
-    /// columns [`InstrBatch::push`] builds. Returns how many entries of
-    /// `mem_addrs` were consumed, so a sequential reader can keep a running
-    /// cursor into its sparse column.
+    /// Appends the `n` rows of a packed run that follow `at`, and moves
+    /// `at` past them. The run is a dense `ips` column, a dense `kinds`
+    /// column and a sparse `addrs` column holding one address per memory
+    /// instruction, in order, and none for the rest; exceptions of both
+    /// packed columns are keyed by instruction row.
+    ///
+    /// The IPs are widened, the addresses scattered back in place with 0
+    /// for every non-memory instruction, and each column's exception rows
+    /// patched through `at`'s cursor into its exception list, so the batch
+    /// gets the same columns [`InstrBatch::push`] builds. Patching costs
+    /// one compare per call plus one write per exception row.
     ///
     /// # Panics
     ///
-    /// Panics if `ips` and `kinds` disagree in length, or if `mem_addrs`
-    /// holds fewer addresses than `kinds` has memory instructions.
-    pub fn extend_from_sparse(&mut self, ips: &[u64], kinds: &[u8], mem_addrs: &[u64]) -> usize {
-        assert_eq!(ips.len(), kinds.len());
-        self.ips.extend_from_slice(ips);
+    /// Panics if fewer than `n` rows follow `at`, or if `addrs` holds
+    /// fewer addresses than those rows have memory instructions.
+    pub fn extend_from_packed(
+        &mut self,
+        ips: &Low32Col,
+        kinds: &[u8],
+        addrs: &Low32Col,
+        at: &mut PackedCursor,
+        n: usize,
+    ) {
+        let rows = at.row..at.row + n;
+        let start = self.ips.len();
+        let (high, lows) = (ips.high, &ips.lows[rows.clone()]);
+        self.ips.extend(lows.iter().map(|&lo| high | u64::from(lo)));
+        at.ip_exc = ips.patch(&mut self.ips[start..], at.row, at.ip_exc);
+        let kinds = &kinds[rows];
         self.kinds.extend_from_slice(kinds);
-        let start = self.addrs.len();
-        self.addrs.resize(start + kinds.len(), 0);
-        let mut next = 0;
+        self.addrs.resize(start + n, 0);
+        let high = addrs.high;
+        let mut next = at.addr;
         for (slot, &k) in self.addrs[start..].iter_mut().zip(kinds) {
             if k != KIND_NONE {
-                *slot = mem_addrs[next];
+                *slot = high | u64::from(addrs.lows[next]);
                 next += 1;
             }
         }
-        next
+        at.addr = next;
+        at.addr_exc = addrs.patch(&mut self.addrs[start..], at.row, at.addr_exc);
+        at.row += n;
     }
 
     /// Reassembles the `i`-th instruction from the columns.
@@ -231,6 +248,114 @@ impl InstrBatch {
     /// Row-order iterator over the batch (tests and adapters).
     pub fn iter(&self) -> impl Iterator<Item = Instr> + '_ {
         (0..self.len()).map(|i| self.get(i))
+    }
+}
+
+/// The high 32 bits of a `u64`.
+const HIGH_MASK: u64 = !0xffff_ffff;
+
+/// A `u64` column packed into its low 32 bits: one high word for the whole
+/// column, taken from its first value, plus an exception list of
+/// `(row, full value)` for the values whose high 32 bits differ from it.
+/// A column whose values share one 4 GiB window costs 4 bytes a value
+/// and has no exceptions. [`InstrBatch::extend_from_packed`] reads it
+/// back.
+#[derive(Debug, Clone, Default)]
+pub struct Low32Col {
+    /// The first value's high 32 bits, in place.
+    high: u64,
+    lows: Vec<u32>,
+    /// By ascending row.
+    exceptions: Vec<(u32, u64)>,
+}
+
+impl Low32Col {
+    /// An empty column with room for `n` values.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            high: 0,
+            lows: Vec::with_capacity(n),
+            exceptions: Vec::new(),
+        }
+    }
+
+    /// Appends `v`. `row` is the instruction row it belongs to, which
+    /// keys its exception if it has one: the value's own index in a dense
+    /// column, its instruction's row in a sparse one. Rows must ascend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an exception's `row` does not fit in 32 bits.
+    pub fn push(&mut self, row: usize, v: u64) {
+        if v & HIGH_MASK != self.high {
+            if self.lows.is_empty() {
+                self.high = v & HIGH_MASK;
+            } else {
+                let row = u32::try_from(row).expect("packed column row fits in 32 bits");
+                self.exceptions.push((row, v));
+            }
+        }
+        self.lows.push(v as u32);
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.lows.len()
+    }
+
+    /// True when the column holds no values.
+    pub fn is_empty(&self) -> bool {
+        self.lows.is_empty()
+    }
+
+    /// Number of exception rows.
+    pub fn exception_count(&self) -> usize {
+        self.exceptions.len()
+    }
+
+    /// Bytes the column's buffers hold on the heap (their capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.lows.capacity() * std::mem::size_of::<u32>()
+            + self.exceptions.capacity() * std::mem::size_of::<(u32, u64)>()
+    }
+
+    /// Drops spare capacity from both buffers.
+    pub fn shrink_to_fit(&mut self) {
+        self.lows.shrink_to_fit();
+        self.exceptions.shrink_to_fit();
+    }
+
+    /// Writes the exceptions from index `next` on whose rows fall in
+    /// `out`, which holds rows `first..first + out.len()`. Returns the
+    /// index of the first exception past `out`.
+    fn patch(&self, out: &mut [u64], first: usize, mut next: usize) -> usize {
+        while let Some(&(row, v)) = self.exceptions.get(next) {
+            let i = row as usize - first;
+            if i >= out.len() {
+                break;
+            }
+            out[i] = v;
+            next += 1;
+        }
+        next
+    }
+}
+
+/// A sequential reader's place in a packed run (see
+/// [`InstrBatch::extend_from_packed`]): its next row, its next sparse
+/// address, and the next exception of each packed column.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PackedCursor {
+    row: usize,
+    addr: usize,
+    ip_exc: usize,
+    addr_exc: usize,
+}
+
+impl PackedCursor {
+    /// The next row to be read.
+    pub fn row(&self) -> usize {
+        self.row
     }
 }
 
@@ -820,23 +945,32 @@ mod tests {
 
     #[test]
     fn sparse_addresses_scatter_into_the_dense_column() {
-        let instrs = sample_instrs(20);
+        let mut instrs = sample_instrs(20);
+        // One row outside the 4 GiB window of both packed columns.
+        instrs[10] = Instr::load(u64::MAX - 3, 0x7_0000_0040);
         let mut dense = InstrBatch::new();
-        for &i in &instrs {
+        let (mut ips, mut addrs) = (Low32Col::default(), Low32Col::default());
+        for (row, &i) in instrs.iter().enumerate() {
             dense.push(i);
+            ips.push(row, i.ip.raw());
+            if let Some(a) = i.vaddr() {
+                addrs.push(row, a.raw());
+            }
         }
-        let (ips, kinds, addrs) = dense.columns();
-        let sparse: Vec<u64> = instrs
-            .iter()
-            .filter_map(|i| i.vaddr().map(VAddr::raw))
-            .collect();
-        // Two appends with a running cursor, split mid-stream.
+        assert_eq!((ips.exception_count(), addrs.exception_count()), (1, 1));
+        let (_, kinds, _) = dense.columns();
+        // Two appends with a running cursor, split mid-stream ahead of the
+        // exception row.
         let mut b = InstrBatch::new();
-        let used = b.extend_from_sparse(&ips[..8], &kinds[..8], &sparse);
-        assert_eq!(used, 5);
-        let rest = b.extend_from_sparse(&ips[8..], &kinds[8..], &sparse[used..]);
-        assert_eq!(used + rest, sparse.len());
-        assert_eq!(b.columns(), (ips, kinds, addrs));
+        let mut at = PackedCursor::default();
+        b.extend_from_packed(&ips, kinds, &addrs, &mut at, 8);
+        assert_eq!((at.row(), at.addr, at.ip_exc, at.addr_exc), (8, 5, 0, 0));
+        b.extend_from_packed(&ips, kinds, &addrs, &mut at, 12);
+        assert_eq!(
+            (at.row(), at.addr, at.ip_exc, at.addr_exc),
+            (20, addrs.len(), 1, 1)
+        );
+        assert_eq!(b.columns(), dense.columns());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 use std::sync::{Arc, Mutex};
 
 use ipcp_trace::{
-    BatchStream, Instr, InstrBatch, MemOp, TraceSource, BATCH_CAPACITY, KIND_LOAD, KIND_NONE,
-    KIND_STORE,
+    BatchStream, Instr, InstrBatch, Low32Col, MemOp, PackedCursor, TraceSource, BATCH_CAPACITY,
+    KIND_LOAD, KIND_NONE, KIND_STORE,
 };
 
 use crate::rng::Rng64;
@@ -24,10 +24,12 @@ use crate::rng::Rng64;
 const LINE: u64 = ipcp_mem::LINE_BYTES;
 
 /// Cap on the memoized stream prefix, in instructions. A memoized
-/// instruction costs 9 bytes (its IP and kind byte) plus 8 more when it
-/// accesses memory: ~13.1 bytes each on the memory-intensive suite, ~10.4
-/// on the front-end suite. Below the cap a trace's generator closure runs
-/// once per process; every batch stream after the first replays the memo.
+/// instruction costs 5 bytes (the low 32 bits of its IP, and its kind
+/// byte) plus 4 more when it accesses memory: ~7.0 bytes each on the
+/// memory-intensive suite, ~5.7 on the front-end suite; an exception row
+/// (see [`MemoChunk`]) adds 16. Below the cap a trace's generator closure
+/// runs once per process; every batch stream after the first replays the
+/// memo.
 /// Past the cap a stream falls back to a private generator — the exact
 /// cost the un-memoized path paid for every stream.
 const MEMO_CAP: usize = 4_000_000;
@@ -44,12 +46,18 @@ type MakeStream = Arc<dyn Fn() -> Box<dyn Iterator<Item = Instr> + Send> + Send 
 /// only in the last chunk (at [`MEMO_CAP`], or where a finite generator
 /// ran dry). Its columns are allocated at full-chunk size and never grow;
 /// only a partial last chunk is shrunk to fit.
+///
+/// The IP and address columns keep the low 32 bits of each value under
+/// one high word per column, taken from the chunk's first value; a value
+/// whose high 32 bits differ is also kept whole in the column's exception
+/// list, keyed by its row in the chunk. No suite trace but the NN suite's
+/// (tensors above 4 GiB) has any.
 struct MemoChunk {
-    ips: Box<[u64]>,
+    ips: Low32Col,
     kinds: Box<[u8]>,
     /// The addresses of the chunk's memory instructions only, in order;
     /// a reader walks it with its own running cursor.
-    addrs: Box<[u64]>,
+    addrs: Low32Col,
 }
 
 /// The memoized stream prefix of one [`SynthTrace`], shared by all of its
@@ -72,19 +80,19 @@ impl MemoCols {
     fn push_chunk(&mut self, make: &MakeStream) {
         let n = MEMO_CHUNK.min(MEMO_CAP - self.len);
         let gen = self.gen.get_or_insert_with(|| make());
-        let mut ips = Vec::with_capacity(n);
+        let mut ips = Low32Col::with_capacity(n);
         let mut kinds = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for instr in gen.by_ref().take(n) {
-            ips.push(instr.ip.raw());
+        let mut addrs = Low32Col::with_capacity(n);
+        for (row, instr) in gen.by_ref().take(n).enumerate() {
+            ips.push(row, instr.ip.raw());
             kinds.push(match instr.mem {
                 MemOp::None => KIND_NONE,
                 MemOp::Load(a) => {
-                    addrs.push(a.raw());
+                    addrs.push(row, a.raw());
                     KIND_LOAD
                 }
                 MemOp::Store(a) => {
-                    addrs.push(a.raw());
+                    addrs.push(row, a.raw());
                     KIND_STORE
                 }
             });
@@ -99,11 +107,16 @@ impl MemoCols {
             self.gen = None;
         }
         if !ips.is_empty() {
+            ips.shrink_to_fit();
             self.chunks.push(Arc::new(MemoChunk {
-                ips: ips.into_boxed_slice(),
+                ips,
                 kinds: kinds.into_boxed_slice(),
-                // An exact-size copy: the full-size fill buffer is freed.
-                addrs: addrs.as_slice().into(),
+                // An exact-size copy. The full-size fill buffer is freed
+                // whole after the chunk is stored, for the next chunk's
+                // fill to reuse; shrinking it in place measured ~10 %
+                // slower to fill the first 25 K instructions of every
+                // memory-intensive trace.
+                addrs: addrs.clone(),
             }));
         }
     }
@@ -119,10 +132,8 @@ struct MemoBatchStream {
     /// The chunk being replayed, and the index of the one after it.
     chunk: Option<Arc<MemoChunk>>,
     next_chunk: usize,
-    /// Cursors into `chunk`: its next row, and that row's place in the
-    /// chunk's sparse address column.
-    row: usize,
-    addr: usize,
+    /// Where the next batch starts in `chunk`.
+    at: PackedCursor,
     /// Instructions delivered so far.
     pos: usize,
     tail: Option<Box<dyn Iterator<Item = Instr> + Send>>,
@@ -140,7 +151,7 @@ impl MemoBatchStream {
         if let Some(c) = m.chunks.get(self.next_chunk) {
             self.chunk = Some(Arc::clone(c));
             self.next_chunk += 1;
-            (self.row, self.addr) = (0, 0);
+            self.at = PackedCursor::default();
             return true;
         }
         if m.exhausted {
@@ -171,17 +182,18 @@ impl BatchStream for MemoBatchStream {
                 self.pos += out.len() - before;
                 break;
             }
-            let Some(c) = self.chunk.as_deref().filter(|c| self.row < c.ips.len()) else {
+            let Some(c) = self
+                .chunk
+                .as_deref()
+                .filter(|c| self.at.row() < c.kinds.len())
+            else {
                 if self.advance() {
                     continue;
                 }
                 break;
             };
-            let n = (c.ips.len() - self.row).min(BATCH_CAPACITY - out.len());
-            let rows = self.row..self.row + n;
-            self.addr +=
-                out.extend_from_sparse(&c.ips[rows.clone()], &c.kinds[rows], &c.addrs[self.addr..]);
-            self.row += n;
+            let n = (c.kinds.len() - self.at.row()).min(BATCH_CAPACITY - out.len());
+            out.extend_from_packed(&c.ips, &c.kinds, &c.addrs, &mut self.at, n);
             self.pos += n;
         }
         out.len()
@@ -215,8 +227,7 @@ impl SynthTraceInner {
             make: Arc::clone(&self.make),
             chunk: None,
             next_chunk: 0,
-            row: 0,
-            addr: 0,
+            at: PackedCursor::default(),
             pos: 0,
             tail: None,
         })
@@ -1252,5 +1263,47 @@ mod tests {
         // Pattern is 1,1,1,13 repeating (3 inner steps then jump to next
         // outer row: 16 - 3 = 13).
         assert_eq!(&deltas[..8], &[1, 1, 1, 13, 1, 1, 1, 13]);
+    }
+
+    /// A trace's memo after its first `n` instructions have been read:
+    /// (column bytes, memoized instructions, exception rows).
+    fn memo_footprint(t: &SynthTrace, n: usize) -> (usize, usize, usize) {
+        let mut s = t.batch_stream();
+        let mut batch = InstrBatch::new();
+        let mut read = 0;
+        while read < n && s.next_batch(&mut batch) > 0 {
+            read += batch.len();
+        }
+        let m = t.inner.memo.lock().unwrap();
+        m.chunks.iter().fold((0, 0, 0), |(bytes, rows, exc), c| {
+            (
+                bytes + c.ips.heap_bytes() + c.kinds.len() + c.addrs.heap_bytes(),
+                rows + c.kinds.len(),
+                exc + c.ips.exception_count() + c.addrs.exception_count(),
+            )
+        })
+    }
+
+    /// The memo layout's cost per instruction on the suites the benchmark
+    /// replays, so a layout regression fails here and not only in a
+    /// benchmark run.
+    #[test]
+    fn memo_columns_stay_within_their_footprint() {
+        for (suite, traces, max) in [
+            ("memory-intensive", crate::memory_intensive_suite(), 7.1),
+            ("front-end", crate::frontend_suite(), 5.8),
+        ] {
+            let (mut bytes, mut rows) = (0, 0);
+            for t in &traces {
+                let (b, r, exc) = memo_footprint(t, 250_000);
+                assert_eq!(exc, 0, "{}: exception rows", t.name());
+                (bytes, rows) = (bytes + b, rows + r);
+            }
+            let per_instr = bytes as f64 / rows as f64;
+            assert!(
+                per_instr <= max,
+                "{suite}: {per_instr:.3} B per instruction"
+            );
+        }
     }
 }

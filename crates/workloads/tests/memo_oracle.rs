@@ -7,7 +7,8 @@
 //! noticing. These tests compare the two paths row for row over every
 //! suite trace and the fuzz corpus, and over the memo's edge cases:
 //! streams that interleave at different depths, reads across chunk edges,
-//! reads past the memo cap, and finite generators that run dry.
+//! reads past the memo cap, finite generators that run dry, and values
+//! outside a chunk's 4 GiB window.
 
 use ipcp_trace::{BatchStream, Instr, InstrBatch, TraceSource, BATCH_CAPACITY};
 use ipcp_workloads::fuzz;
@@ -177,6 +178,55 @@ fn reads_past_the_memo_cap_continue_the_trace() {
                 assert_eq!(Some(got), want.next(), "pass {pass}: row {row}");
             }
             seen += batch.len();
+        }
+    }
+}
+
+/// Rows of [`straddling`] outside their chunk's 4 GiB window: both sides
+/// of 256-row batch edges and 4096-row chunk edges, including the first
+/// row of the second chunk, which sets that chunk's high words.
+const OUTLIER_ROWS: [u64; 10] = [255, 256, 511, 4095, 4096, 4351, 4352, 8191, 8448, 12287];
+
+/// A finite trace whose IPs and addresses cross 2^32 inside a chunk, with
+/// outliers near `u64::MAX` and more than 4 GiB above the rest, every
+/// outlier a load.
+fn straddling(len: u64) -> SynthTrace {
+    SynthTrace::new(format!("straddle-{len}"), move || {
+        Box::new((0..len).map(|i| {
+            if OUTLIER_ROWS.contains(&i) || i % 1021 == 17 {
+                let (ip, addr) = if i % 2 == 0 {
+                    (u64::MAX - 3 - (i % 5) * 4, u64::MAX - (i % 61))
+                } else {
+                    (0x7_0000_0000 + i * 4, 0x5_0000_0000 + i * 8)
+                };
+                return Instr::load(ip, addr);
+            }
+            // Both columns cross 2^32 once every 2048 rows.
+            let ip = 0xffff_f000 + (i % 2048) * 4;
+            let addr = 0xffff_8000 + (i * 72) % 0x1_0000;
+            match i % 3 {
+                0 => Instr::nop(ip),
+                1 => Instr::load(ip, addr),
+                _ => Instr::store(ip, addr),
+            }
+        }))
+    })
+}
+
+/// Values outside a chunk's shared high word come back whole, wherever
+/// they sit in the chunk and in the batch, for the stream that fills the
+/// memo and for one that replays it.
+#[test]
+fn values_outside_a_chunks_window_replay_whole() {
+    let len = 3 * CHUNK as u64 + 300;
+    let t = straddling(len);
+    let want: Vec<Instr> = t.stream().collect();
+    assert!(want.iter().any(|i| i.ip.raw() >> 32 == 0xffff_ffff));
+    for pass in 0..2 {
+        let got = pull(&mut *t.batch_stream(), &mut InstrBatch::new(), usize::MAX);
+        assert_eq!(got.len(), want.len(), "pass {pass}: length");
+        for (row, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "pass {pass}: row {row}");
         }
     }
 }
