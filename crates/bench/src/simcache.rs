@@ -55,7 +55,9 @@
 //! **Knobs.** The cache is *off* by default (experiments re-simulate,
 //! exactly as before). `IPCP_SIMCACHE=1` (or `true`/`on`/`yes`) enables
 //! it; `IPCP_SIMCACHE_DIR=<dir>` overrides the default `target/simcache`
-//! location. One process shares one cache ([`global`]); each
+//! location. One process shares one cache ([`global`]) and simulates a
+//! key at most once at a time: figures running at once that look up the
+//! same key wait for the first, and count a hit. Each
 //! `Experiment` counts its own hits, misses and stores from what
 //! [`SimCache::lookup`] reports, so the `experiments` manifest carries
 //! them per figure.
@@ -71,9 +73,11 @@
 //! the entry). Silence would hide cache rot; a hard error would couple
 //! experiment success to scratch-file health.
 
+use std::collections::HashMap;
 use std::ops::AddAssign;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use ipcp_sim::telemetry::{FromJson, JsonValue, ToJson};
 use ipcp_sim::{SimConfig, SimReport};
@@ -133,12 +137,19 @@ impl AddAssign for CacheStatsSnapshot {
 #[derive(Debug)]
 pub struct SimCache {
     dir: PathBuf,
+    /// One cell per key being looked up right now: the first caller
+    /// resolves it, from disk or by simulating, and every concurrent
+    /// caller with the same key waits for it. Removed once resolved.
+    in_flight: Mutex<HashMap<String, Arc<OnceLock<SimReport>>>>,
 }
 
 impl SimCache {
     /// A cache rooted at `dir` (created lazily on first store).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: dir.into() }
+        Self {
+            dir: dir.into(),
+            in_flight: Mutex::default(),
+        }
     }
 
     /// The cache directory.
@@ -152,9 +163,9 @@ impl SimCache {
     }
 
     /// Returns the cached report for (traces, combo, cfg), running `run`
-    /// and storing its result on a miss. Concurrent callers with the same
-    /// key may both simulate; determinism makes both writes identical and
-    /// the atomic rename keeps the entry well-formed either way.
+    /// and storing its result on a miss. One process simulates a key at
+    /// most once at a time: a concurrent caller with the same key waits
+    /// for the first (see [`SimCache::lookup`]).
     pub fn get_or_run(
         &self,
         trace_names: &[&str],
@@ -167,21 +178,56 @@ impl SimCache {
 
     /// [`SimCache::get_or_run`] by [`cache_key`], also reporting what the
     /// lookup did: one hit, or one miss plus one store if the entry was
-    /// written.
+    /// written. A caller that finds the key in flight in another thread
+    /// waits for that lookup and counts one hit; so does one that finds
+    /// the entry on disk.
     pub fn lookup(
         &self,
         key: &str,
         run: impl FnOnce() -> SimReport,
     ) -> (SimReport, CacheStatsSnapshot) {
+        let mut did = CacheStatsSnapshot {
+            hits: 1,
+            ..CacheStatsSnapshot::default()
+        };
+        // A hit on disk needs no in-flight cell; anything else (absent or
+        // unusable) is looked at again, and reported, under the cell.
+        if let Ok(Some(report)) = self.load_report(&self.entry_path(key), key) {
+            return (report, did);
+        }
+        let cell = {
+            let mut in_flight = self
+                .in_flight
+                .lock()
+                .expect("simcache in-flight map poisoned");
+            Arc::clone(in_flight.entry(key.to_string()).or_default())
+        };
+        let report = cell
+            .get_or_init(|| self.load_or_run(key, run, &mut did))
+            .clone();
+        // The entry is on disk now (or could not be written), so later
+        // callers can go there; only the first to get here removes it.
+        let mut in_flight = self
+            .in_flight
+            .lock()
+            .expect("simcache in-flight map poisoned");
+        if in_flight.get(key).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
+            in_flight.remove(key);
+        }
+        (report, did)
+    }
+
+    /// The report of `key` from its entry file, or else from `run`, then
+    /// stored. Sets `did` to what happened.
+    fn load_or_run(
+        &self,
+        key: &str,
+        run: impl FnOnce() -> SimReport,
+        did: &mut CacheStatsSnapshot,
+    ) -> SimReport {
         let path = self.entry_path(key);
         match self.load_report(&path, key) {
-            Ok(Some(report)) => {
-                let hit = CacheStatsSnapshot {
-                    hits: 1,
-                    ..CacheStatsSnapshot::default()
-                };
-                return (report, hit);
-            }
+            Ok(Some(report)) => return report,
             Ok(None) => {}
             Err(e) => {
                 eprintln!(
@@ -201,12 +247,12 @@ impl SimCache {
                 false
             }
         };
-        let miss = CacheStatsSnapshot {
+        *did = CacheStatsSnapshot {
             hits: 0,
             misses: 1,
             stores: u64::from(stored),
         };
-        (report, miss)
+        report
     }
 
     /// Loads the report of an entry. `Ok(None)` means "no entry" (a clean
@@ -236,16 +282,20 @@ impl SimCache {
     }
 
     /// Writes an entry atomically: temp file in the cache dir, then rename
-    /// (readers never observe a partial entry).
+    /// (readers never observe a partial entry). The temp name is unique
+    /// per write, so no two writers, in this process or another, share
+    /// one.
     fn store_report(&self, path: &Path, key: &str, report: &SimReport) -> std::io::Result<()> {
         std::fs::create_dir_all(&self.dir)?;
         let doc = JsonValue::obj()
             .set("schema", ENTRY_SCHEMA)
             .set("key", key)
             .set("report", canonical(report).to_json());
+        static WRITES: AtomicU64 = AtomicU64::new(0);
         let tmp = self.dir.join(format!(
-            ".tmp-{}-{:016x}",
+            ".tmp-{}-{}-{:016x}",
             std::process::id(),
+            WRITES.fetch_add(1, Ordering::Relaxed),
             fnv1a_64(key)
         ));
         std::fs::write(&tmp, doc.to_json_string())?;
@@ -473,6 +523,48 @@ mod tests {
         });
         assert_ne!(a, b, "different instruction counts, different reports");
         assert_eq!(stats.misses, 2, "no false sharing between configs");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two threads looking up one key at once simulate it once: the
+    /// second waits for the first and counts as a hit.
+    #[test]
+    fn concurrent_lookups_of_one_key_simulate_once() {
+        let dir = tmp_dir("single-flight");
+        let cache = SimCache::new(&dir);
+        let cfg = quick_cfg();
+        let direct = simulate("none", &cfg);
+        let key = cache_key(&["t"], "none", &cfg);
+        let runs = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(2);
+        let lookup = || {
+            start.wait();
+            cache.lookup(&key, || {
+                runs.fetch_add(1, Ordering::Relaxed);
+                // Long enough for the other thread to arrive while the
+                // simulation is in flight.
+                std::thread::sleep(std::time::Duration::from_millis(200));
+                direct.clone()
+            })
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(lookup);
+            let b = s.spawn(lookup);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "one simulation");
+        assert_eq!((&a.0, &b.0), (&direct, &direct));
+        let mut stats = a.1;
+        stats += b.1;
+        assert_eq!(
+            stats,
+            CacheStatsSnapshot {
+                hits: 1,
+                misses: 1,
+                stores: 1
+            }
+        );
+        assert!(cache.in_flight.lock().unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -179,16 +179,16 @@ impl InstrBatch {
     }
 
     /// Appends the `n` rows of a packed run that follow `at`, and moves
-    /// `at` past them. The run is a dense `ips` column, a dense `kinds`
-    /// column and a sparse `addrs` column holding one address per memory
-    /// instruction, in order, and none for the rest; exceptions of both
-    /// packed columns are keyed by instruction row.
+    /// `at` past them. The run is an [`IpCodeCol`] with the IP and kind of
+    /// every row, and a sparse `addrs` column holding one address per
+    /// memory instruction, in order, and none for the rest.
     ///
-    /// The IPs are widened, the addresses scattered back in place with 0
-    /// for every non-memory instruction, and each column's exception rows
-    /// patched through `at`'s cursor into its exception list, so the batch
-    /// gets the same columns [`InstrBatch::push`] builds. Patching costs
-    /// one compare per call plus one write per exception row.
+    /// The codes are decoded into the IP and kind columns, the addresses
+    /// scattered back in place with 0 for every non-memory instruction,
+    /// and the address column's exception rows patched through `at`'s
+    /// cursor into its exception list, so the batch gets the same columns
+    /// [`InstrBatch::push`] builds. Patching costs one compare per call
+    /// plus one write per exception row.
     ///
     /// # Panics
     ///
@@ -196,29 +196,39 @@ impl InstrBatch {
     /// fewer addresses than those rows have memory instructions.
     pub fn extend_from_packed(
         &mut self,
-        ips: &Low32Col,
-        kinds: &[u8],
+        ips: &IpCodeCol,
         addrs: &Low32Col,
         at: &mut PackedCursor,
         n: usize,
     ) {
-        let rows = at.row..at.row + n;
+        let codes = &ips.codes[at.row..at.row + n];
         let start = self.ips.len();
-        let (high, lows) = (ips.high, &ips.lows[rows.clone()]);
-        self.ips.extend(lows.iter().map(|&lo| high | u64::from(lo)));
-        at.ip_exc = ips.patch(&mut self.ips[start..], at.row, at.ip_exc);
-        let kinds = &kinds[rows];
-        self.kinds.extend_from_slice(kinds);
+        self.ips.resize(start + n, 0);
+        self.kinds.resize(start + n, 0);
         self.addrs.resize(start + n, 0);
-        let high = addrs.high;
-        let mut next = at.addr;
-        for (slot, &k) in self.addrs[start..].iter_mut().zip(kinds) {
+        let (high, lows) = (addrs.high, &addrs.lows);
+        // One length for both dictionary columns, so one bounds check.
+        let dict_ips = &ips.dict_ips[..];
+        let dict_kinds = &ips.dict_kinds[..dict_ips.len()];
+        let (mut prev, mut next) = (at.prev_ip, at.addr);
+        let rows = self.ips[start..]
+            .iter_mut()
+            .zip(&mut self.kinds[start..])
+            .zip(&mut self.addrs[start..]);
+        for (((ip, kind), addr), &code) in rows.zip(codes) {
+            // Decoded into locals: reading `prev` back from the batch
+            // would put a store-to-load round trip on every row.
+            let (i, k) = match code.checked_sub(SEQ_CODE) {
+                Some(k) => (prev.wrapping_add(4), k),
+                None => (dict_ips[usize::from(code)], dict_kinds[usize::from(code)]),
+            };
+            (*ip, *kind, prev) = (i, k, i);
             if k != KIND_NONE {
-                *slot = high | u64::from(addrs.lows[next]);
+                *addr = high | u64::from(lows[next]);
                 next += 1;
             }
         }
-        at.addr = next;
+        (at.prev_ip, at.addr) = (prev, next);
         at.addr_exc = addrs.patch(&mut self.addrs[start..], at.row, at.addr_exc);
         at.row += n;
     }
@@ -254,12 +264,13 @@ impl InstrBatch {
 /// The high 32 bits of a `u64`.
 const HIGH_MASK: u64 = !0xffff_ffff;
 
-/// A `u64` column packed into its low 32 bits: one high word for the whole
+/// A sparse `u64` column (the addresses of a packed run's memory
+/// instructions) packed into its low 32 bits: one high word for the whole
 /// column, taken from its first value, plus an exception list of
-/// `(row, full value)` for the values whose high 32 bits differ from it.
-/// A column whose values share one 4 GiB window costs 4 bytes a value
-/// and has no exceptions. [`InstrBatch::extend_from_packed`] reads it
-/// back.
+/// `(instruction row, full value)` for the values whose high 32 bits
+/// differ from it. A column whose values share one 4 GiB window costs 4
+/// bytes a value and has no exceptions. [`InstrBatch::extend_from_packed`]
+/// reads it back.
 #[derive(Debug, Clone, Default)]
 pub struct Low32Col {
     /// The first value's high 32 bits, in place.
@@ -279,9 +290,8 @@ impl Low32Col {
         }
     }
 
-    /// Appends `v`. `row` is the instruction row it belongs to, which
-    /// keys its exception if it has one: the value's own index in a dense
-    /// column, its instruction's row in a sparse one. Rows must ascend.
+    /// Appends `v`. `row` is the row of the instruction it belongs to,
+    /// which keys its exception if it has one. Rows must ascend.
     ///
     /// # Panics
     ///
@@ -319,12 +329,6 @@ impl Low32Col {
             + self.exceptions.capacity() * std::mem::size_of::<(u32, u64)>()
     }
 
-    /// Drops spare capacity from both buffers.
-    pub fn shrink_to_fit(&mut self) {
-        self.lows.shrink_to_fit();
-        self.exceptions.shrink_to_fit();
-    }
-
     /// Writes the exceptions from index `next` on whose rows fall in
     /// `out`, which holds rows `first..first + out.len()`. Returns the
     /// index of the first exception past `out`.
@@ -341,15 +345,163 @@ impl Low32Col {
     }
 }
 
+/// The first sequential code of an [`IpCodeCol`]: code `SEQ_CODE + kind`
+/// is the previous row's IP + 4 with that kind. The codes below it index
+/// the dictionary, which so holds at most `SEQ_CODE` entries.
+const SEQ_CODE: u8 = 253;
+
+/// Entries an [`IpCodeCol`]'s dictionary holds at most.
+const DICT_CAP: usize = SEQ_CODE as usize;
+
+/// Slots of [`IpCodeBuilder`]'s open-addressed pair table: a power of two
+/// over twice [`DICT_CAP`], so linear probing stays short.
+const KEY_SLOTS: usize = 512;
+
+/// An empty slot of [`IpCodeBuilder`]'s table (no code is this).
+const EMPTY: u8 = u8::MAX;
+
+/// The IPs and memory-operand kinds of a packed run, one code byte per
+/// row. Codes 0..=252 index a dictionary of the run's distinct
+/// `(IP, kind)` pairs; codes 253/254/255 are the previous row's IP + 4
+/// (wrapping) with kind none/load/store. Row 0 always takes a dictionary
+/// code, so a reader that starts at a run needs no state. The dictionary
+/// is kept as an IP and a kind column: 9 bytes an entry, where a tuple
+/// would pad to 16. Built by an [`IpCodeBuilder`];
+/// [`InstrBatch::extend_from_packed`] reads it back.
+#[derive(Debug, Clone, Default)]
+pub struct IpCodeCol {
+    codes: Box<[u8]>,
+    dict_ips: Box<[u64]>,
+    dict_kinds: Box<[u8]>,
+}
+
+impl IpCodeCol {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// True when the column holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// Bytes the column's buffers hold on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.codes.len() + self.dict_ips.len() * std::mem::size_of::<u64>() + self.dict_kinds.len()
+    }
+}
+
+/// Codes rows into an [`IpCodeCol`]. A row at the previous IP + 4 takes a
+/// sequential code; any other finds its pair's code, or adds the pair,
+/// through an open-addressed table of the codes given so far.
+///
+/// The builder keeps the table and the dictionary inline (under 3 KB,
+/// which a fill writes once per run), so a fill allocates nothing per
+/// pair, and [`IpCodeBuilder::finish`] copies the dictionary out at its
+/// exact size.
+#[derive(Debug, Clone)]
+pub struct IpCodeBuilder {
+    codes: Vec<u8>,
+    /// The previous row's IP.
+    last_ip: u64,
+    dict_ips: [u64; DICT_CAP],
+    dict_kinds: [u8; DICT_CAP],
+    dict_len: usize,
+    /// The table, by slot: a pair's code, or [`EMPTY`] for a free slot.
+    slots: [u8; KEY_SLOTS],
+}
+
+impl IpCodeBuilder {
+    /// An empty column with room for `n` rows.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            codes: Vec::with_capacity(n),
+            last_ip: 0,
+            dict_ips: [0; DICT_CAP],
+            dict_kinds: [0; DICT_CAP],
+            dict_len: 0,
+            slots: [EMPTY; KEY_SLOTS],
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// True when no row has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// Appends a row with `ip` and `kind` ([`KIND_NONE`]/[`KIND_LOAD`]/
+    /// [`KIND_STORE`]). Returns false, and appends nothing, when its
+    /// pair needs a new dictionary entry and the dictionary is full.
+    #[inline]
+    pub fn push(&mut self, ip: u64, kind: u8) -> bool {
+        debug_assert!(kind <= KIND_STORE);
+        let code = if !self.codes.is_empty() && ip == self.last_ip.wrapping_add(4) {
+            SEQ_CODE + kind
+        } else if let Some(code) = self.dict_code(ip, kind) {
+            code
+        } else {
+            return false;
+        };
+        self.codes.push(code);
+        self.last_ip = ip;
+        true
+    }
+
+    /// The dictionary code of `(ip, kind)`, adding the pair if it is new;
+    /// `None` when it is new and the dictionary is full. The home slot is
+    /// taken from the IP's word-address bits, which keeps a loop's IPs
+    /// apart without a multiply; the second term spreads IPs 2 KiB apart.
+    #[inline]
+    fn dict_code(&mut self, ip: u64, kind: u8) -> Option<u8> {
+        let mut slot = ((ip >> 2) ^ (ip >> 11)) as usize % KEY_SLOTS;
+        loop {
+            let code = self.slots[slot];
+            if code == EMPTY {
+                let code = self.dict_len;
+                if code == DICT_CAP {
+                    return None;
+                }
+                self.slots[slot] = code as u8;
+                self.dict_ips[code] = ip;
+                self.dict_kinds[code] = kind;
+                self.dict_len += 1;
+                return Some(code as u8);
+            }
+            let c = usize::from(code);
+            if self.dict_ips[c] == ip && self.dict_kinds[c] == kind {
+                return Some(code);
+            }
+            slot = (slot + 1) % KEY_SLOTS;
+        }
+    }
+
+    /// The coded column: the codes in their buffer, shrunk to fit, and the
+    /// dictionary copied out at its exact size.
+    pub fn finish(self) -> IpCodeCol {
+        IpCodeCol {
+            codes: self.codes.into_boxed_slice(),
+            dict_ips: self.dict_ips[..self.dict_len].into(),
+            dict_kinds: self.dict_kinds[..self.dict_len].into(),
+        }
+    }
+}
+
 /// A sequential reader's place in a packed run (see
 /// [`InstrBatch::extend_from_packed`]): its next row, its next sparse
-/// address, and the next exception of each packed column.
+/// address, the next exception of the address column, and the IP of the
+/// row before `row`, which a sequential code continues.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PackedCursor {
     row: usize,
     addr: usize,
-    ip_exc: usize,
     addr_exc: usize,
+    prev_ip: u64,
 }
 
 impl PackedCursor {
@@ -946,31 +1098,58 @@ mod tests {
     #[test]
     fn sparse_addresses_scatter_into_the_dense_column() {
         let mut instrs = sample_instrs(20);
-        // One row outside the 4 GiB window of both packed columns.
+        // One row outside the address column's 4 GiB window, at an IP
+        // whose + 4 wraps to the next row's IP 0.
         instrs[10] = Instr::load(u64::MAX - 3, 0x7_0000_0040);
+        instrs[11] = Instr::store(0, 0x20000 + 11 * 64);
         let mut dense = InstrBatch::new();
-        let (mut ips, mut addrs) = (Low32Col::default(), Low32Col::default());
+        let (mut ips, mut addrs) = (IpCodeBuilder::with_capacity(20), Low32Col::default());
         for (row, &i) in instrs.iter().enumerate() {
             dense.push(i);
-            ips.push(row, i.ip.raw());
+            assert!(ips.push(i.ip.raw(), dense.columns().1[row]));
             if let Some(a) = i.vaddr() {
                 addrs.push(row, a.raw());
             }
         }
-        assert_eq!((ips.exception_count(), addrs.exception_count()), (1, 1));
-        let (_, kinds, _) = dense.columns();
+        let ips = ips.finish();
+        // Rows 0, 10 and 12 are not at the previous IP + 4.
+        assert_eq!(*ips.dict_ips, [0x40_0000, u64::MAX - 3, 0x40_0030]);
+        assert_eq!(ips.codes[11], SEQ_CODE + KIND_STORE);
+        assert_eq!(addrs.exception_count(), 1);
         // Two appends with a running cursor, split mid-stream ahead of the
         // exception row.
         let mut b = InstrBatch::new();
         let mut at = PackedCursor::default();
-        b.extend_from_packed(&ips, kinds, &addrs, &mut at, 8);
-        assert_eq!((at.row(), at.addr, at.ip_exc, at.addr_exc), (8, 5, 0, 0));
-        b.extend_from_packed(&ips, kinds, &addrs, &mut at, 12);
+        b.extend_from_packed(&ips, &addrs, &mut at, 8);
         assert_eq!(
-            (at.row(), at.addr, at.ip_exc, at.addr_exc),
-            (20, addrs.len(), 1, 1)
+            (at.row(), at.addr, at.addr_exc, at.prev_ip),
+            (8, 5, 0, 0x40_001c)
+        );
+        b.extend_from_packed(&ips, &addrs, &mut at, 12);
+        assert_eq!(
+            (at.row(), at.addr, at.addr_exc, at.prev_ip),
+            (20, addrs.len(), 1, 0x40_004c)
         );
         assert_eq!(b.columns(), dense.columns());
+    }
+
+    /// The dictionary holds 253 pairs: a new pair after that is refused
+    /// and leaves the column as it was, while known pairs and sequential
+    /// rows still go in.
+    #[test]
+    fn a_full_dictionary_refuses_new_pairs() {
+        let mut ips = IpCodeBuilder::with_capacity(300);
+        for i in 0..253u64 {
+            assert!(ips.push(0x1000 + i * 64, KIND_LOAD), "pair {i}");
+        }
+        assert!(!ips.push(0x9_0000, KIND_LOAD));
+        assert!(!ips.push(0x1000, KIND_STORE), "same IP, new kind");
+        assert_eq!(ips.len(), 253);
+        assert!(ips.push(0x1000, KIND_LOAD));
+        assert!(ips.push(0x1004, KIND_STORE));
+        let ips = ips.finish();
+        assert_eq!((ips.len(), ips.dict_ips.len()), (255, 253));
+        assert_eq!(ips.codes[253..], [0, SEQ_CODE + KIND_STORE]);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 use std::sync::{Arc, Mutex};
 
 use ipcp_trace::{
-    BatchStream, Instr, InstrBatch, Low32Col, MemOp, PackedCursor, TraceSource, BATCH_CAPACITY,
-    KIND_LOAD, KIND_NONE, KIND_STORE,
+    BatchStream, Instr, InstrBatch, IpCodeBuilder, IpCodeCol, Low32Col, MemOp, PackedCursor,
+    TraceSource, BATCH_CAPACITY, KIND_LOAD, KIND_NONE, KIND_STORE,
 };
 
 use crate::rng::Rng64;
@@ -24,52 +24,59 @@ use crate::rng::Rng64;
 const LINE: u64 = ipcp_mem::LINE_BYTES;
 
 /// Cap on the memoized stream prefix, in instructions. A memoized
-/// instruction costs 5 bytes (the low 32 bits of its IP, and its kind
-/// byte) plus 4 more when it accesses memory: ~7.0 bytes each on the
-/// memory-intensive suite, ~5.7 on the front-end suite; an exception row
-/// (see [`MemoChunk`]) adds 16. Below the cap a trace's generator closure
+/// instruction costs one code byte plus 4 bytes of address when it
+/// accesses memory, and each chunk keeps a dictionary of 9 bytes per
+/// distinct (IP, kind) pair its rows name (see [`MemoChunk`]): ~3.1 bytes
+/// an instruction on the memory-intensive suite, ~1.8 on the front-end
+/// suite, ~3.7 on CloudSuite, whose chunks fill their dictionaries; an
+/// address exception adds 16. Below the cap a trace's generator closure
 /// runs once per process; every batch stream after the first replays the
 /// memo.
 /// Past the cap a stream falls back to a private generator — the exact
 /// cost the un-memoized path paid for every stream.
 const MEMO_CAP: usize = 4_000_000;
 
-/// Instructions per memo chunk: the memo's allocation unit, and how much
-/// is pulled from the generator at a time (amortizing the lock and the
-/// per-instruction closure dispatch).
+/// Instructions per memo chunk at most: the memo's allocation unit, and
+/// how much is pulled from the generator at a time (amortizing the lock
+/// and the per-instruction closure dispatch).
 const MEMO_CHUNK: usize = 16 * BATCH_CAPACITY;
 
 /// The generator closure every stream of one trace is made from.
 type MakeStream = Arc<dyn Fn() -> Box<dyn Iterator<Item = Instr> + Send> + Send + Sync>;
 
-/// One immutable run of a trace's memo: [`MEMO_CHUNK`] instructions, fewer
-/// only in the last chunk (at [`MEMO_CAP`], or where a finite generator
-/// ran dry). Its columns are allocated at full-chunk size and never grow;
-/// only a partial last chunk is shrunk to fit.
+/// One immutable run of a trace's memo: at most [`MEMO_CHUNK`]
+/// instructions. A chunk ends early when a row names a new (IP, kind)
+/// pair and its dictionary is full (see [`IpCodeCol`]), and the last
+/// chunk is short at [`MEMO_CAP`] or where a finite generator ran dry.
 ///
-/// The IP and address columns keep the low 32 bits of each value under
-/// one high word per column, taken from the chunk's first value; a value
-/// whose high 32 bits differ is also kept whole in the column's exception
-/// list, keyed by its row in the chunk. No suite trace but the NN suite's
-/// (tensors above 4 GiB) has any.
+/// The IPs and kinds take one code byte per row: "the previous row's
+/// IP + 4", or an index into the chunk's dictionary of at most 253
+/// pairs; row 0 always takes a dictionary code, so a reader starting at
+/// a chunk needs no state from the one before. The addresses keep their
+/// low 32 bits under one high word taken from the chunk's first address;
+/// one whose high 32 bits differ is also kept whole in the column's
+/// exception list, keyed by its row in the chunk. No suite trace but the
+/// NN suite's (tensors above 4 GiB) has any.
 struct MemoChunk {
-    ips: Low32Col,
-    kinds: Box<[u8]>,
+    ips: IpCodeCol,
     /// The addresses of the chunk's memory instructions only, in order;
     /// a reader walks it with its own running cursor.
     addrs: Low32Col,
 }
 
 /// The memoized stream prefix of one [`SynthTrace`], shared by all of its
-/// batch streams. The canonical generator is parked exactly at `len`, so
-/// extension is pure continuation — instruction values are identical to
-/// direct iteration by construction.
+/// batch streams. The canonical generator is parked exactly at `len`
+/// (plus the carried row, if any), so extension is pure continuation —
+/// instruction values are identical to direct iteration by construction.
 #[derive(Default)]
 struct MemoCols {
     chunks: Vec<Arc<MemoChunk>>,
     /// Instructions memoized (the chunks' total).
     len: usize,
     gen: Option<Box<dyn Iterator<Item = Instr> + Send>>,
+    /// The row that ended the last chunk early: drawn from the generator
+    /// but not yet memoized, it is the next chunk's row 0.
+    carry: Option<Instr>,
     /// The generator ran dry (finite stream): the memo is the whole trace.
     exhausted: bool,
 }
@@ -80,37 +87,39 @@ impl MemoCols {
     fn push_chunk(&mut self, make: &MakeStream) {
         let n = MEMO_CHUNK.min(MEMO_CAP - self.len);
         let gen = self.gen.get_or_insert_with(|| make());
-        let mut ips = Low32Col::with_capacity(n);
-        let mut kinds = Vec::with_capacity(n);
+        // The address fill buffer first, so it takes the one the last
+        // chunk freed.
         let mut addrs = Low32Col::with_capacity(n);
-        for (row, instr) in gen.by_ref().take(n).enumerate() {
-            ips.push(row, instr.ip.raw());
-            kinds.push(match instr.mem {
-                MemOp::None => KIND_NONE,
-                MemOp::Load(a) => {
-                    addrs.push(row, a.raw());
-                    KIND_LOAD
-                }
-                MemOp::Store(a) => {
-                    addrs.push(row, a.raw());
-                    KIND_STORE
-                }
-            });
+        let mut ips = IpCodeBuilder::with_capacity(n);
+        let mut carry = self.carry.take();
+        while ips.len() < n {
+            let Some(instr) = carry.take().or_else(|| gen.next()) else {
+                self.exhausted = true;
+                break;
+            };
+            let row = ips.len();
+            let (kind, addr) = match instr.mem {
+                MemOp::None => (KIND_NONE, 0),
+                MemOp::Load(a) => (KIND_LOAD, a.raw()),
+                MemOp::Store(a) => (KIND_STORE, a.raw()),
+            };
+            if !ips.push(instr.ip.raw(), kind) {
+                self.carry = Some(instr);
+                break;
+            }
+            if kind != KIND_NONE {
+                addrs.push(row, addr);
+            }
         }
         self.len += ips.len();
-        if ips.len() < n {
-            self.exhausted = true;
-        }
         if self.exhausted || self.len == MEMO_CAP {
             // The canonical generator will never advance again, so its
             // (potentially large) state can go.
             self.gen = None;
         }
         if !ips.is_empty() {
-            ips.shrink_to_fit();
             self.chunks.push(Arc::new(MemoChunk {
-                ips,
-                kinds: kinds.into_boxed_slice(),
+                ips: ips.finish(),
                 // An exact-size copy. The full-size fill buffer is freed
                 // whole after the chunk is stored, for the next chunk's
                 // fill to reuse; shrinking it in place measured ~10 %
@@ -185,15 +194,15 @@ impl BatchStream for MemoBatchStream {
             let Some(c) = self
                 .chunk
                 .as_deref()
-                .filter(|c| self.at.row() < c.kinds.len())
+                .filter(|c| self.at.row() < c.ips.len())
             else {
                 if self.advance() {
                     continue;
                 }
                 break;
             };
-            let n = (c.kinds.len() - self.at.row()).min(BATCH_CAPACITY - out.len());
-            out.extend_from_packed(&c.ips, &c.kinds, &c.addrs, &mut self.at, n);
+            let n = (c.ips.len() - self.at.row()).min(BATCH_CAPACITY - out.len());
+            out.extend_from_packed(&c.ips, &c.addrs, &mut self.at, n);
             self.pos += n;
         }
         out.len()
@@ -1266,7 +1275,7 @@ mod tests {
     }
 
     /// A trace's memo after its first `n` instructions have been read:
-    /// (column bytes, memoized instructions, exception rows).
+    /// (column bytes, memoized instructions, address exceptions).
     fn memo_footprint(t: &SynthTrace, n: usize) -> (usize, usize, usize) {
         let mut s = t.batch_stream();
         let mut batch = InstrBatch::new();
@@ -1277,26 +1286,29 @@ mod tests {
         let m = t.inner.memo.lock().unwrap();
         m.chunks.iter().fold((0, 0, 0), |(bytes, rows, exc), c| {
             (
-                bytes + c.ips.heap_bytes() + c.kinds.len() + c.addrs.heap_bytes(),
-                rows + c.kinds.len(),
-                exc + c.ips.exception_count() + c.addrs.exception_count(),
+                bytes + c.ips.heap_bytes() + c.addrs.heap_bytes(),
+                rows + c.ips.len(),
+                exc + c.addrs.exception_count(),
             )
         })
     }
 
     /// The memo layout's cost per instruction on the suites the benchmark
-    /// replays, so a layout regression fails here and not only in a
-    /// benchmark run.
+    /// and the figures replay, so a layout regression fails here and not
+    /// only in a benchmark run.
     #[test]
     fn memo_columns_stay_within_their_footprint() {
         for (suite, traces, max) in [
-            ("memory-intensive", crate::memory_intensive_suite(), 7.1),
-            ("front-end", crate::frontend_suite(), 5.8),
+            ("memory-intensive", crate::memory_intensive_suite(), 3.2),
+            ("front-end", crate::frontend_suite(), 1.9),
+            ("CloudSuite", crate::cloud_suite(), 3.8),
+            ("NN", crate::nn_suite(), 3.5),
         ] {
             let (mut bytes, mut rows) = (0, 0);
             for t in &traces {
                 let (b, r, exc) = memo_footprint(t, 250_000);
-                assert_eq!(exc, 0, "{}: exception rows", t.name());
+                // Only the NN suite's tensors sit above 4 GiB.
+                assert!(exc == 0 || suite == "NN", "{}: exception rows", t.name());
                 (bytes, rows) = (bytes + b, rows + r);
             }
             let per_instr = bytes as f64 / rows as f64;

@@ -230,3 +230,98 @@ fn values_outside_a_chunks_window_replay_whole() {
         }
     }
 }
+
+/// Checks every row of a finite trace, for the stream that fills the memo
+/// and for one that replays it, and that both end at its last row.
+fn check_whole(t: &SynthTrace) {
+    let want: Vec<Instr> = t.stream().collect();
+    for pass in 0..2 {
+        let mut s = t.batch_stream();
+        let mut batch = InstrBatch::new();
+        let got = pull(&mut *s, &mut batch, usize::MAX);
+        assert_eq!(got.len(), want.len(), "{} pass {pass}: length", t.name());
+        for (row, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "{} pass {pass}: row {row}", t.name());
+        }
+        assert_eq!(s.next_batch(&mut batch), 0, "{}: ended", t.name());
+    }
+}
+
+/// The kind of row `i` in the coded-IP cases: an irregular mix, so a
+/// sequential code with the wrong kind shows.
+fn mixed(ip: u64, i: u64) -> Instr {
+    match (i * 7 + i / 3) % 4 {
+        0 => Instr::load(ip, 0x1000_0000 + i * 64),
+        1 => Instr::store(ip, 0x2000_0000 + i * 8),
+        _ => Instr::nop(ip),
+    }
+}
+
+/// Runs of IPs at the previous IP + 4 that cross 256-row batch edges and
+/// 4096-row chunk edges, so that a chunk's row 0 continues a run, with
+/// every kind on sequential rows.
+#[test]
+fn sequential_runs_cross_batch_and_chunk_edges() {
+    let t = SynthTrace::new("sequential", || {
+        Box::new((0..3 * CHUNK as u64 + 500).map(|i| {
+            // One long run over both chunk edges, broken by jumps at a
+            // few rows on either side of batch and chunk edges.
+            let ip = if [250, 700, 4090, 8200].contains(&i) {
+                0x9_0000 + i * 64
+            } else {
+                0x40_0000 + i * 4
+            };
+            mixed(ip, i)
+        }))
+    });
+    check_whole(&t);
+}
+
+/// More than the dictionary holds (253 pairs) of distinct (IP, kind)
+/// pairs off any sequential run in one chunk's worth of rows: chunks end
+/// early, the rows after a cut start the next chunk, and the stream goes
+/// on to the end.
+#[test]
+fn dictionary_overflow_cuts_chunks_early() {
+    let t = SynthTrace::new("scattered", || {
+        Box::new((0..3 * CHUNK as u64 + 77).map(|i| {
+            // 300 IPs 64 bytes apart, revisited in a scrambled order,
+            // with runs of 1-3 sequential IPs after some of them.
+            let ip = 0x50_0000 + ((i / 4 * 37) % 300) * 64 + (i % 4) * 4 * u64::from(i % 3 == 0);
+            mixed(ip, i)
+        }))
+    });
+    check_whole(&t);
+}
+
+/// A finite generator whose last row is the one a full dictionary cuts
+/// off, or the row just before it: the memo ends with the stream, not at
+/// the short chunk.
+#[test]
+fn finite_generators_end_at_an_early_cut() {
+    for len in [253, 254, 255, 4 * 253] {
+        let t = SynthTrace::new(format!("distinct-{len}"), move || {
+            Box::new((0..len).map(|i| mixed(0x60_0000 + i * 64, i)))
+        });
+        check_whole(&t);
+    }
+}
+
+/// An IP at `u64::MAX - 3` followed by 0 is a sequential pair (the + 4
+/// wraps), inside a chunk, at a batch edge, and across a chunk edge.
+#[test]
+fn sequential_ips_wrap_past_u64_max() {
+    let top = u64::MAX - 3;
+    let t = SynthTrace::new("wrapping", move || {
+        Box::new((0..2 * CHUNK as u64 + 300).map(move |i| {
+            let ip = match i {
+                100 | 255 | 4095 => top,
+                101 | 256 | 4096 => 0,
+                102 | 257 | 4097 => 4,
+                _ => 0x40_0000 + (i % 50) * 4,
+            };
+            mixed(ip, i)
+        }))
+    });
+    check_whole(&t);
+}
