@@ -35,8 +35,8 @@
 //! With positional names only those experiments run. `--list-env` dumps
 //! every `IPCP_*` knob with its current value. An unknown experiment name,
 //! any other `--` option, `--jobs`/`--results-dir` without a value, or a
-//! `--jobs` value that is not a count exits 2 with the usage before
-//! anything runs.
+//! `--jobs` value that is not a positive count (the grammar of
+//! `IPCP_JOBS`) exits 2 with the usage before anything runs.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -74,7 +74,7 @@ fn main() {
         .collect();
 
     let jobs = args
-        .get_or("jobs", harness::jobs_from_env())
+        .get_positive("jobs", harness::jobs_from_env())
         .unwrap_or_else(|e| CLI.fail(&e));
     let results_dir = PathBuf::from(
         args.options

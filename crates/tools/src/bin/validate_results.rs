@@ -8,8 +8,9 @@
 //! validate_results --bench BENCH_perf.json
 //! ```
 //!
-//! Checks that `manifest.json` parses, carries the expected schema (5)
-//! and a `peak_rss_mb` that is positive or `null`, that every experiment
+//! Checks that `manifest.json` parses, carries the expected schema (5),
+//! a positive `jobs` count and a `peak_rss_mb` that is positive or
+//! `null`, that every experiment
 //! the manifest marks as having a sidecar actually has one on disk, and
 //! that every `*.data.json` sidecar in the directory
 //! is a well-formed figure document (schema, name, scale, rectangular
@@ -317,6 +318,10 @@ fn main() {
         let loc = manifest_path.display().to_string();
         if manifest.get("schema").and_then(JsonValue::as_u64) != Some(5) {
             c.problem(format!("{loc}: missing or wrong \"schema\" (want 5)"));
+        }
+        match manifest.get("jobs").and_then(JsonValue::as_u64) {
+            Some(n) if n > 0 => {}
+            _ => c.problem(format!("{loc}: \"jobs\" must be a positive count")),
         }
         match manifest.get("peak_rss_mb") {
             Some(v) if v.is_null() || v.as_f64().is_some_and(|mb| mb > 0.0) => {}

@@ -114,6 +114,20 @@ impl Args {
         }
     }
 
+    /// Option value as a positive count, the grammar of the `IPCP_*` count
+    /// knobs, or the default when the option is absent.
+    ///
+    /// # Errors
+    ///
+    /// Names the option and its value when the value does not parse or
+    /// is 0.
+    pub fn get_positive(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.get_or(key, default)? {
+            0 => Err(format!("--{key}: expected a positive count, got 0")),
+            n => Ok(n),
+        }
+    }
+
     /// True when `--flag` was passed.
     pub fn has_flag(&self, flag: &str) -> bool {
         self.flags.iter().any(|f| f == flag)

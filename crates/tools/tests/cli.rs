@@ -218,6 +218,49 @@ fn manifest_peak_rss_is_positive_or_null() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A worker count of 0 is refused on both sides of a sweep: `experiments`
+/// exits 2 with the usage on `--jobs 0`, as it does on `IPCP_JOBS=0`,
+/// before it runs anything, and `validate_results` rejects a manifest
+/// whose `jobs` is 0 or missing.
+#[test]
+fn zero_jobs_is_refused_by_experiments_and_validate_results() {
+    let dir = scratch("zero-jobs");
+    let exe = env!("CARGO_BIN_EXE_experiments");
+    let out = run_in(&dir, exe, &["table1_storage", "--jobs", "0"]);
+    assert_usage_error(&out, "--jobs: expected a positive count");
+    let out = run_with(&dir, exe, &["table1_storage"], &[("IPCP_JOBS", "0")]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        !dir.join("results").exists(),
+        "a refused worker count must not start a sweep"
+    );
+    let out = run_in(&dir, exe, &["table1_storage", "--jobs", "1"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let path = dir.join("results/manifest.json");
+    let manifest = std::fs::read_to_string(&path).unwrap();
+    let line = "  \"jobs\": 1,";
+    assert!(manifest.contains(line), "{manifest}");
+    for (replacement, valid) in [(line, true), ("  \"jobs\": 0,", false), ("", false)] {
+        std::fs::write(&path, manifest.replace(line, replacement)).unwrap();
+        let out = run_in(
+            &dir,
+            env!("CARGO_BIN_EXE_validate_results"),
+            &["table1_storage"],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.success(), valid, "{replacement:?}: {stderr}");
+        if !valid {
+            assert!(stderr.contains("\"jobs\""), "{stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A malformed `IPCP_SCHED_STATS` stops each simulating tool with exit 2
 /// before it simulates, as every other malformed knob does; the `System`
 /// alone would read the unknown word as "on" and change report bytes.

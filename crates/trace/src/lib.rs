@@ -179,38 +179,31 @@ impl InstrBatch {
     }
 
     /// Appends the `n` rows of a packed run that follow `at`, and moves
-    /// `at` past them. The run is an [`IpCodeCol`] with the IP and kind of
-    /// every row, and a sparse `addrs` column holding one address per
-    /// memory instruction, in order, and none for the rest.
+    /// `at` past them, so the batch gets the same columns
+    /// [`InstrBatch::push`] builds, with 0 for the address of every
+    /// non-memory instruction.
     ///
-    /// The codes are decoded into the IP and kind columns, the addresses
-    /// scattered back in place with 0 for every non-memory instruction,
-    /// and the address column's exception rows patched through `at`'s
-    /// cursor into its exception list, so the batch gets the same columns
-    /// [`InstrBatch::push`] builds. Patching costs one compare per call
-    /// plus one write per exception row.
+    /// Each row's code gives its IP and kind (see [`PackedRun`]). A memory
+    /// row's address is its stride slot's prediction where the run's hit
+    /// bit for it is set. Otherwise it is the run's next stored address,
+    /// taken whole where it is an exception, and the slot learns the new
+    /// stride from it. `at` carries the slots, so a run can be read in any
+    /// number of calls; a fresh cursor starts at a run's row 0.
     ///
     /// # Panics
     ///
-    /// Panics if fewer than `n` rows follow `at`, or if `addrs` holds
-    /// fewer addresses than those rows have memory instructions.
-    pub fn extend_from_packed(
-        &mut self,
-        ips: &IpCodeCol,
-        addrs: &Low32Col,
-        at: &mut PackedCursor,
-        n: usize,
-    ) {
-        let codes = &ips.codes[at.row..at.row + n];
+    /// Panics if fewer than `n` rows follow `at`.
+    pub fn extend_from_packed(&mut self, run: &PackedRun, at: &mut PackedCursor, n: usize) {
+        let codes = &run.codes[at.row..at.row + n];
         let start = self.ips.len();
         self.ips.resize(start + n, 0);
         self.kinds.resize(start + n, 0);
         self.addrs.resize(start + n, 0);
-        let (high, lows) = (addrs.high, &addrs.lows);
         // One length for both dictionary columns, so one bounds check.
-        let dict_ips = &ips.dict_ips[..];
-        let dict_kinds = &ips.dict_kinds[..dict_ips.len()];
-        let (mut prev, mut next) = (at.prev_ip, at.addr);
+        let dict_ips = &run.dict_ips[..];
+        let dict_kinds = &run.dict_kinds[..dict_ips.len()];
+        let (mut prev, mut mem, mut miss, mut exc) = (at.prev_ip, at.mem, at.miss, at.exc);
+        let slots = &mut at.slots;
         let rows = self.ips[start..]
             .iter_mut()
             .zip(&mut self.kinds[start..])
@@ -224,12 +217,20 @@ impl InstrBatch {
             };
             (*ip, *kind, prev) = (i, k, i);
             if k != KIND_NONE {
-                *addr = high | u64::from(lows[next]);
-                next += 1;
+                let slot = &mut slots[usize::from(code.min(SEQ_CODE))];
+                if run.hits[mem / 64] >> (mem % 64) & 1 != 0 {
+                    slot.last = slot.last.wrapping_add(slot.delta);
+                } else {
+                    let a = run.misses.get(miss, &mut exc);
+                    miss += 1;
+                    slot.delta = a.wrapping_sub(slot.last);
+                    slot.last = a;
+                }
+                *addr = slot.last;
+                mem += 1;
             }
         }
-        (at.prev_ip, at.addr) = (prev, next);
-        at.addr_exc = addrs.patch(&mut self.addrs[start..], at.row, at.addr_exc);
+        (at.prev_ip, at.mem, at.miss, at.exc) = (prev, mem, miss, exc);
         at.row += n;
     }
 
@@ -264,25 +265,23 @@ impl InstrBatch {
 /// The high 32 bits of a `u64`.
 const HIGH_MASK: u64 = !0xffff_ffff;
 
-/// A sparse `u64` column (the addresses of a packed run's memory
-/// instructions) packed into its low 32 bits: one high word for the whole
-/// column, taken from its first value, plus an exception list of
-/// `(instruction row, full value)` for the values whose high 32 bits
-/// differ from it. A column whose values share one 4 GiB window costs 4
-/// bytes a value and has no exceptions. [`InstrBatch::extend_from_packed`]
-/// reads it back.
+/// A `u64` column (a packed run's stored addresses) packed into its low
+/// 32 bits: one high word for the whole column, taken from its first
+/// value, plus an exception list of `(index, full value)` for the values
+/// whose high 32 bits differ from it. A column whose values share one
+/// 4 GiB window costs 4 bytes a value and has no exceptions.
 #[derive(Debug, Clone, Default)]
-pub struct Low32Col {
+struct Low32Col {
     /// The first value's high 32 bits, in place.
     high: u64,
     lows: Vec<u32>,
-    /// By ascending row.
+    /// By ascending index.
     exceptions: Vec<(u32, u64)>,
 }
 
 impl Low32Col {
     /// An empty column with room for `n` values.
-    pub fn with_capacity(n: usize) -> Self {
+    fn with_capacity(n: usize) -> Self {
         Self {
             high: 0,
             lows: Vec::with_capacity(n),
@@ -290,156 +289,221 @@ impl Low32Col {
         }
     }
 
-    /// Appends `v`. `row` is the row of the instruction it belongs to,
-    /// which keys its exception if it has one. Rows must ascend.
+    /// Appends `v`.
     ///
     /// # Panics
     ///
-    /// Panics if an exception's `row` does not fit in 32 bits.
-    pub fn push(&mut self, row: usize, v: u64) {
+    /// Panics if an exception's index does not fit in 32 bits.
+    fn push(&mut self, v: u64) {
         if v & HIGH_MASK != self.high {
             if self.lows.is_empty() {
                 self.high = v & HIGH_MASK;
             } else {
-                let row = u32::try_from(row).expect("packed column row fits in 32 bits");
-                self.exceptions.push((row, v));
+                let i =
+                    u32::try_from(self.lows.len()).expect("packed column index fits in 32 bits");
+                self.exceptions.push((i, v));
             }
         }
         self.lows.push(v as u32);
     }
 
-    /// Number of values.
-    pub fn len(&self) -> usize {
-        self.lows.len()
-    }
-
-    /// True when the column holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.lows.is_empty()
-    }
-
-    /// Number of exception rows.
-    pub fn exception_count(&self) -> usize {
-        self.exceptions.len()
+    /// Value `i`, for a reader that takes the values in order: `exc` is
+    /// the index of the first exception not before `i`, and moves past
+    /// `i`'s own exception if it has one.
+    #[inline]
+    fn get(&self, i: usize, exc: &mut usize) -> u64 {
+        if let Some(&(at, v)) = self.exceptions.get(*exc) {
+            if at as usize == i {
+                *exc += 1;
+                return v;
+            }
+        }
+        self.high | u64::from(self.lows[i])
     }
 
     /// Bytes the column's buffers hold on the heap (their capacity).
-    pub fn heap_bytes(&self) -> usize {
+    fn heap_bytes(&self) -> usize {
         self.lows.capacity() * std::mem::size_of::<u32>()
             + self.exceptions.capacity() * std::mem::size_of::<(u32, u64)>()
     }
-
-    /// Writes the exceptions from index `next` on whose rows fall in
-    /// `out`, which holds rows `first..first + out.len()`. Returns the
-    /// index of the first exception past `out`.
-    fn patch(&self, out: &mut [u64], first: usize, mut next: usize) -> usize {
-        while let Some(&(row, v)) = self.exceptions.get(next) {
-            let i = row as usize - first;
-            if i >= out.len() {
-                break;
-            }
-            out[i] = v;
-            next += 1;
-        }
-        next
-    }
 }
 
-/// The first sequential code of an [`IpCodeCol`]: code `SEQ_CODE + kind`
+/// The first sequential code of a [`PackedRun`]: code `SEQ_CODE + kind`
 /// is the previous row's IP + 4 with that kind. The codes below it index
 /// the dictionary, which so holds at most `SEQ_CODE` entries.
 const SEQ_CODE: u8 = 253;
 
-/// Entries an [`IpCodeCol`]'s dictionary holds at most.
+/// Entries a [`PackedRun`]'s dictionary holds at most.
 const DICT_CAP: usize = SEQ_CODE as usize;
 
-/// Slots of [`IpCodeBuilder`]'s open-addressed pair table: a power of two
+/// Stride slots: one per dictionary code, plus the one that the three
+/// sequential codes share, at index [`SEQ_CODE`].
+const STRIDE_SLOTS: usize = DICT_CAP + 1;
+
+/// Slots of [`PackedEncoder`]'s open-addressed pair table: a power of two
 /// over twice [`DICT_CAP`], so linear probing stays short.
 const KEY_SLOTS: usize = 512;
 
-/// An empty slot of [`IpCodeBuilder`]'s table (no code is this).
+/// An empty slot of [`PackedEncoder`]'s table (no code is this).
 const EMPTY: u8 = u8::MAX;
 
-/// The IPs and memory-operand kinds of a packed run, one code byte per
-/// row. Codes 0..=252 index a dictionary of the run's distinct
-/// `(IP, kind)` pairs; codes 253/254/255 are the previous row's IP + 4
-/// (wrapping) with kind none/load/store. Row 0 always takes a dictionary
-/// code, so a reader that starts at a run needs no state. The dictionary
-/// is kept as an IP and a kind column: 9 bytes an entry, where a tuple
-/// would pad to 16. Built by an [`IpCodeBuilder`];
-/// [`InstrBatch::extend_from_packed`] reads it back.
+/// One stride-predictor slot: the last address of the rows on its codes,
+/// and the stride its last miss showed (that address minus the one
+/// before it). Its prediction is `last + delta`, wrapping.
+#[derive(Debug, Clone, Copy)]
+struct Stride {
+    last: u64,
+    delta: u64,
+}
+
+impl Stride {
+    /// A slot at the start of a run.
+    const ZERO: Self = Self { last: 0, delta: 0 };
+}
+
+/// A run of packed trace rows: one code byte per row for the IP and kind,
+/// and for the memory rows a hit bitmap plus the addresses a stride
+/// predictor misses.
+///
+/// Codes 0..=252 index a dictionary of the run's distinct `(IP, kind)`
+/// pairs; codes 253/254/255 are the previous row's IP + 4 (wrapping) with
+/// kind none/load/store. Row 0 always takes a dictionary code. The
+/// dictionary is kept as an IP and a kind column: 9 bytes an entry, where
+/// a tuple would pad to 16.
+///
+/// Each memory row's address is predicted by the stride slot of its code
+/// (the three sequential codes share one slot) as the slot's last address
+/// plus its last stride. The row's bit in the hit bitmap (one bit per
+/// memory row, in order) is set where the prediction is the address. A
+/// missed address is stored, low 32 bits under one high word for the run
+/// plus whole where its high half differs, and gives its slot a new
+/// stride, the address minus the slot's last one. Every slot starts a run
+/// at 0 with stride 0, so a reader that starts at a run needs no state.
+/// Built by a [`PackedEncoder`]; [`InstrBatch::extend_from_packed`] reads
+/// it back.
 #[derive(Debug, Clone, Default)]
-pub struct IpCodeCol {
+pub struct PackedRun {
     codes: Box<[u8]>,
     dict_ips: Box<[u64]>,
     dict_kinds: Box<[u8]>,
+    hits: Box<[u64]>,
+    misses: Low32Col,
 }
 
-impl IpCodeCol {
+impl PackedRun {
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.codes.len()
     }
 
-    /// True when the column holds no rows.
+    /// True when the run holds no rows.
     pub fn is_empty(&self) -> bool {
         self.codes.is_empty()
     }
 
-    /// Bytes the column's buffers hold on the heap.
+    /// Number of stored addresses kept whole, outside the run's 4 GiB
+    /// window.
+    pub fn exception_count(&self) -> usize {
+        self.misses.exceptions.len()
+    }
+
+    /// Bytes the run's buffers hold on the heap.
     pub fn heap_bytes(&self) -> usize {
-        self.codes.len() + self.dict_ips.len() * std::mem::size_of::<u64>() + self.dict_kinds.len()
+        self.codes.len()
+            + self.dict_ips.len() * std::mem::size_of::<u64>()
+            + self.dict_kinds.len()
+            + self.hits.len() * std::mem::size_of::<u64>()
+            + self.misses.heap_bytes()
     }
 }
 
-/// Codes rows into an [`IpCodeCol`]. A row at the previous IP + 4 takes a
-/// sequential code; any other finds its pair's code, or adds the pair,
-/// through an open-addressed table of the codes given so far.
+/// Encodes rows into [`PackedRun`]s, one run after another: each run
+/// starts with [`PackedEncoder::start`], takes its rows through
+/// [`PackedEncoder::push`] and ends with [`PackedEncoder::finish`].
 ///
-/// The builder keeps the table and the dictionary inline (under 3 KB,
-/// which a fill writes once per run), so a fill allocates nothing per
-/// pair, and [`IpCodeBuilder::finish`] copies the dictionary out at its
-/// exact size.
+/// A row at the previous IP + 4 takes a sequential code; any other finds
+/// its pair's code, or adds the pair, through an open-addressed table of
+/// the codes given so far. The table, the dictionary and the stride slots
+/// sit inline (about 7 KB) and are reset, not rebuilt, per run: `start`
+/// clears the 512-byte table and the shared sequential slot, and a slot
+/// of a dictionary code is cleared when its pair is added. The fill
+/// buffers are allocated by `start` at the run's full size, so no column
+/// grows, and handed over or copied out exact-size by `finish`.
 #[derive(Debug, Clone)]
-pub struct IpCodeBuilder {
+pub struct PackedEncoder {
     codes: Vec<u8>,
+    hits: Vec<u64>,
+    misses: Low32Col,
+    /// Memory rows pushed in this run.
+    mem_rows: usize,
     /// The previous row's IP.
     last_ip: u64,
     dict_ips: [u64; DICT_CAP],
     dict_kinds: [u8; DICT_CAP],
     dict_len: usize,
     /// The table, by slot: a pair's code, or [`EMPTY`] for a free slot.
-    slots: [u8; KEY_SLOTS],
+    table: [u8; KEY_SLOTS],
+    slots: [Stride; STRIDE_SLOTS],
 }
 
-impl IpCodeBuilder {
-    /// An empty column with room for `n` rows.
-    pub fn with_capacity(n: usize) -> Self {
+impl Default for PackedEncoder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl PackedEncoder {
+    /// An encoder with no run started.
+    pub fn new() -> Self {
         Self {
-            codes: Vec::with_capacity(n),
+            codes: Vec::new(),
+            hits: Vec::new(),
+            misses: Low32Col::default(),
+            mem_rows: 0,
             last_ip: 0,
             dict_ips: [0; DICT_CAP],
             dict_kinds: [0; DICT_CAP],
             dict_len: 0,
-            slots: [EMPTY; KEY_SLOTS],
+            table: [EMPTY; KEY_SLOTS],
+            slots: [Stride::ZERO; STRIDE_SLOTS],
         }
     }
 
-    /// Number of rows.
+    /// Starts a run of at most `n` rows, dropping any rows pushed since
+    /// the last [`PackedEncoder::finish`].
+    pub fn start(&mut self, n: usize) {
+        // The address fill buffer first, so it takes the one the last run
+        // freed.
+        self.misses = Low32Col::with_capacity(n);
+        self.codes = Vec::with_capacity(n);
+        self.hits = vec![0; n.div_ceil(64)];
+        self.mem_rows = 0;
+        self.dict_len = 0;
+        self.table = [EMPTY; KEY_SLOTS];
+        self.slots[usize::from(SEQ_CODE)] = Stride::ZERO;
+    }
+
+    /// Number of rows in the current run.
     pub fn len(&self) -> usize {
         self.codes.len()
     }
 
-    /// True when no row has been pushed.
+    /// True when the current run has no rows.
     pub fn is_empty(&self) -> bool {
         self.codes.is_empty()
     }
 
-    /// Appends a row with `ip` and `kind` ([`KIND_NONE`]/[`KIND_LOAD`]/
-    /// [`KIND_STORE`]). Returns false, and appends nothing, when its
-    /// pair needs a new dictionary entry and the dictionary is full.
+    /// Appends a row with `ip`, `kind` ([`KIND_NONE`]/[`KIND_LOAD`]/
+    /// [`KIND_STORE`]) and `addr` (ignored for [`KIND_NONE`]). Returns
+    /// false, and changes nothing, when its pair needs a new dictionary
+    /// entry and the dictionary is full.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a memory row past the `n` rows [`PackedEncoder::start`]
+    /// made room for.
     #[inline]
-    pub fn push(&mut self, ip: u64, kind: u8) -> bool {
+    pub fn push(&mut self, ip: u64, kind: u8, addr: u64) -> bool {
         debug_assert!(kind <= KIND_STORE);
         let code = if !self.codes.is_empty() && ip == self.last_ip.wrapping_add(4) {
             SEQ_CODE + kind
@@ -450,26 +514,40 @@ impl IpCodeBuilder {
         };
         self.codes.push(code);
         self.last_ip = ip;
+        if kind != KIND_NONE {
+            let slot = &mut self.slots[usize::from(code.min(SEQ_CODE))];
+            let m = self.mem_rows;
+            if addr == slot.last.wrapping_add(slot.delta) {
+                self.hits[m / 64] |= 1 << (m % 64);
+            } else {
+                self.misses.push(addr);
+                slot.delta = addr.wrapping_sub(slot.last);
+            }
+            slot.last = addr;
+            self.mem_rows = m + 1;
+        }
         true
     }
 
-    /// The dictionary code of `(ip, kind)`, adding the pair if it is new;
-    /// `None` when it is new and the dictionary is full. The home slot is
-    /// taken from the IP's word-address bits, which keeps a loop's IPs
-    /// apart without a multiply; the second term spreads IPs 2 KiB apart.
+    /// The dictionary code of `(ip, kind)`, adding the pair, with a
+    /// cleared stride slot, if it is new; `None` when it is new and the
+    /// dictionary is full. The home slot is taken from the IP's
+    /// word-address bits, which keeps a loop's IPs apart without a
+    /// multiply; the second term spreads IPs 2 KiB apart.
     #[inline]
     fn dict_code(&mut self, ip: u64, kind: u8) -> Option<u8> {
         let mut slot = ((ip >> 2) ^ (ip >> 11)) as usize % KEY_SLOTS;
         loop {
-            let code = self.slots[slot];
+            let code = self.table[slot];
             if code == EMPTY {
                 let code = self.dict_len;
                 if code == DICT_CAP {
                     return None;
                 }
-                self.slots[slot] = code as u8;
+                self.table[slot] = code as u8;
                 self.dict_ips[code] = ip;
                 self.dict_kinds[code] = kind;
+                self.slots[code] = Stride::ZERO;
                 self.dict_len += 1;
                 return Some(code as u8);
             }
@@ -481,27 +559,51 @@ impl IpCodeBuilder {
         }
     }
 
-    /// The coded column: the codes in their buffer, shrunk to fit, and the
-    /// dictionary copied out at its exact size.
-    pub fn finish(self) -> IpCodeCol {
-        IpCodeCol {
-            codes: self.codes.into_boxed_slice(),
+    /// Ends the run and returns it: the codes in their buffer, shrunk to
+    /// fit, and the dictionary, the hit bitmap and the stored addresses
+    /// copied out at their exact sizes. The address fill buffer is freed
+    /// whole, for the next run's fill to reuse (shrinking it in place
+    /// measured slower).
+    pub fn finish(&mut self) -> PackedRun {
+        let run = PackedRun {
+            codes: std::mem::take(&mut self.codes).into_boxed_slice(),
             dict_ips: self.dict_ips[..self.dict_len].into(),
             dict_kinds: self.dict_kinds[..self.dict_len].into(),
-        }
+            hits: self.hits[..self.mem_rows.div_ceil(64)].into(),
+            misses: self.misses.clone(),
+        };
+        self.hits = Vec::new();
+        self.misses = Low32Col::default();
+        run
     }
 }
 
-/// A sequential reader's place in a packed run (see
-/// [`InstrBatch::extend_from_packed`]): its next row, its next sparse
-/// address, the next exception of the address column, and the IP of the
-/// row before `row`, which a sequential code continues.
-#[derive(Debug, Clone, Copy, Default)]
+/// A sequential reader's place in a [`PackedRun`] (see
+/// [`InstrBatch::extend_from_packed`]): its next row, memory row, stored
+/// address and address exception, the IP of the row before `row`, which a
+/// sequential code continues, and the stride slots. A default cursor is
+/// at row 0 with every slot cleared, as the run's encoder started.
+#[derive(Debug, Clone)]
 pub struct PackedCursor {
     row: usize,
-    addr: usize,
-    addr_exc: usize,
+    mem: usize,
+    miss: usize,
+    exc: usize,
     prev_ip: u64,
+    slots: [Stride; STRIDE_SLOTS],
+}
+
+impl Default for PackedCursor {
+    fn default() -> Self {
+        Self {
+            row: 0,
+            mem: 0,
+            miss: 0,
+            exc: 0,
+            prev_ip: 0,
+            slots: [Stride::ZERO; STRIDE_SLOTS],
+        }
+    }
 }
 
 impl PackedCursor {
@@ -1095,61 +1197,85 @@ mod tests {
         assert!(b.is_empty());
     }
 
+    /// Six turns of a four-row loop: a load striding 64 bytes on a
+    /// dictionary IP, a non-memory and a store striding 8 bytes on
+    /// sequential IPs, and a non-memory row on a second dictionary IP.
+    /// The load of turn 4 jumps out of the run's 4 GiB window.
+    fn strided_loop() -> Vec<Instr> {
+        let (a, b) = (0x40_0000, 0x50_0000);
+        (0..6u64)
+            .flat_map(|k| {
+                let load = if k == 4 {
+                    0x7_0000_0000
+                } else {
+                    0x1000 + 64 * k
+                };
+                [
+                    Instr::load(a, load),
+                    Instr::nop(a + 4),
+                    Instr::store(a + 8, 0x9000 + 8 * k),
+                    Instr::nop(b),
+                ]
+            })
+            .collect()
+    }
+
     #[test]
     fn sparse_addresses_scatter_into_the_dense_column() {
-        let mut instrs = sample_instrs(20);
-        // One row outside the address column's 4 GiB window, at an IP
-        // whose + 4 wraps to the next row's IP 0.
-        instrs[10] = Instr::load(u64::MAX - 3, 0x7_0000_0040);
-        instrs[11] = Instr::store(0, 0x20000 + 11 * 64);
+        let instrs = strided_loop();
         let mut dense = InstrBatch::new();
-        let (mut ips, mut addrs) = (IpCodeBuilder::with_capacity(20), Low32Col::default());
+        let mut enc = PackedEncoder::new();
+        enc.start(instrs.len());
         for (row, &i) in instrs.iter().enumerate() {
             dense.push(i);
-            assert!(ips.push(i.ip.raw(), dense.columns().1[row]));
-            if let Some(a) = i.vaddr() {
-                addrs.push(row, a.raw());
-            }
+            let (_, kinds, addrs) = dense.columns();
+            assert!(enc.push(i.ip.raw(), kinds[row], addrs[row]));
         }
-        let ips = ips.finish();
-        // Rows 0, 10 and 12 are not at the previous IP + 4.
-        assert_eq!(*ips.dict_ips, [0x40_0000, u64::MAX - 3, 0x40_0030]);
-        assert_eq!(ips.codes[11], SEQ_CODE + KIND_STORE);
-        assert_eq!(addrs.exception_count(), 1);
-        // Two appends with a running cursor, split mid-stream ahead of the
+        let run = enc.finish();
+        assert_eq!(*run.dict_ips, [0x40_0000, 0x50_0000]);
+        assert_eq!(run.codes[..4], [0, SEQ_CODE, SEQ_CODE + KIND_STORE, 1]);
+        // Each slot misses its first two rows; the load slot also misses
+        // the jump and the row after it, the jump kept whole.
+        assert_eq!((run.misses.lows.len(), run.exception_count()), (6, 1));
+        assert_eq!(*run.hits, [0b1010_1111_0000]);
+        // Two appends with a running cursor, split mid-turn ahead of the
         // exception row.
         let mut b = InstrBatch::new();
         let mut at = PackedCursor::default();
-        b.extend_from_packed(&ips, &addrs, &mut at, 8);
+        b.extend_from_packed(&run, &mut at, 9);
         assert_eq!(
-            (at.row(), at.addr, at.addr_exc, at.prev_ip),
-            (8, 5, 0, 0x40_001c)
+            (at.row(), at.mem, at.miss, at.exc, at.prev_ip),
+            (9, 5, 4, 0, 0x40_0000)
         );
-        b.extend_from_packed(&ips, &addrs, &mut at, 12);
+        b.extend_from_packed(&run, &mut at, 15);
         assert_eq!(
-            (at.row(), at.addr, at.addr_exc, at.prev_ip),
-            (20, addrs.len(), 1, 0x40_004c)
+            (at.row(), at.mem, at.miss, at.exc, at.prev_ip),
+            (24, 12, 6, 1, 0x50_0000)
         );
         assert_eq!(b.columns(), dense.columns());
     }
 
     /// The dictionary holds 253 pairs: a new pair after that is refused
-    /// and leaves the column as it was, while known pairs and sequential
+    /// and leaves the run as it was, while known pairs and sequential
     /// rows still go in.
     #[test]
     fn a_full_dictionary_refuses_new_pairs() {
-        let mut ips = IpCodeBuilder::with_capacity(300);
+        let mut enc = PackedEncoder::new();
+        enc.start(300);
         for i in 0..253u64 {
-            assert!(ips.push(0x1000 + i * 64, KIND_LOAD), "pair {i}");
+            assert!(enc.push(0x1000 + i * 64, KIND_LOAD, 0x8000), "pair {i}");
         }
-        assert!(!ips.push(0x9_0000, KIND_LOAD));
-        assert!(!ips.push(0x1000, KIND_STORE), "same IP, new kind");
-        assert_eq!(ips.len(), 253);
-        assert!(ips.push(0x1000, KIND_LOAD));
-        assert!(ips.push(0x1004, KIND_STORE));
-        let ips = ips.finish();
-        assert_eq!((ips.len(), ips.dict_ips.len()), (255, 253));
-        assert_eq!(ips.codes[253..], [0, SEQ_CODE + KIND_STORE]);
+        assert!(!enc.push(0x9_0000, KIND_LOAD, 0x8000));
+        assert!(!enc.push(0x1000, KIND_STORE, 0x8000), "same IP, new kind");
+        assert_eq!(enc.len(), 253);
+        assert!(enc.push(0x1000, KIND_LOAD, 0x8000));
+        assert!(enc.push(0x1004, KIND_STORE, 0x8000));
+        let run = enc.finish();
+        assert_eq!((run.len(), run.dict_ips.len()), (255, 253));
+        assert_eq!(run.codes[253..], [0, SEQ_CODE + KIND_STORE]);
+        // Each of the 254 slots misses its first 0x8000, and pair 0's
+        // slot then predicts 0x10000. Nothing refused was stored.
+        assert_eq!(run.misses.lows.len(), 255);
     }
 
     #[test]

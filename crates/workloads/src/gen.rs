@@ -14,8 +14,8 @@
 use std::sync::{Arc, Mutex};
 
 use ipcp_trace::{
-    BatchStream, Instr, InstrBatch, IpCodeBuilder, IpCodeCol, Low32Col, MemOp, PackedCursor,
-    TraceSource, BATCH_CAPACITY, KIND_LOAD, KIND_NONE, KIND_STORE,
+    BatchStream, Instr, InstrBatch, MemOp, PackedCursor, PackedEncoder, PackedRun, TraceSource,
+    BATCH_CAPACITY, KIND_LOAD, KIND_NONE, KIND_STORE,
 };
 
 use crate::rng::Rng64;
@@ -24,14 +24,15 @@ use crate::rng::Rng64;
 const LINE: u64 = ipcp_mem::LINE_BYTES;
 
 /// Cap on the memoized stream prefix, in instructions. A memoized
-/// instruction costs one code byte plus 4 bytes of address when it
-/// accesses memory, and each chunk keeps a dictionary of 9 bytes per
-/// distinct (IP, kind) pair its rows name (see [`MemoChunk`]): ~3.1 bytes
-/// an instruction on the memory-intensive suite, ~1.8 on the front-end
-/// suite, ~3.7 on CloudSuite, whose chunks fill their dictionaries; an
-/// address exception adds 16. Below the cap a trace's generator closure
-/// runs once per process; every batch stream after the first replays the
-/// memo.
+/// instruction costs one code byte, plus one hit bit when it accesses
+/// memory and 4 bytes of address when its IP's last stride does not
+/// predict that address; each chunk keeps a dictionary of 9 bytes per
+/// distinct (IP, kind) pair its rows name (see [`MemoChunk`]). That is
+/// ~1.4 bytes an instruction on the memory-intensive and NN suites, ~1.2
+/// on the front-end suite and ~2.1 on CloudSuite, whose chunks fill their
+/// dictionaries; an address exception adds 16. Below the cap a trace's
+/// generator closure runs once per process; every batch stream after the
+/// first replays the memo.
 /// Past the cap a stream falls back to a private generator — the exact
 /// cost the un-memoized path paid for every stream.
 const MEMO_CAP: usize = 4_000_000;
@@ -45,24 +46,19 @@ const MEMO_CHUNK: usize = 16 * BATCH_CAPACITY;
 type MakeStream = Arc<dyn Fn() -> Box<dyn Iterator<Item = Instr> + Send> + Send + Sync>;
 
 /// One immutable run of a trace's memo: at most [`MEMO_CHUNK`]
-/// instructions. A chunk ends early when a row names a new (IP, kind)
-/// pair and its dictionary is full (see [`IpCodeCol`]), and the last
+/// instructions, packed as a [`PackedRun`]. A chunk ends early when a row
+/// names a new (IP, kind) pair and its dictionary is full, and the last
 /// chunk is short at [`MEMO_CAP`] or where a finite generator ran dry.
 ///
 /// The IPs and kinds take one code byte per row: "the previous row's
 /// IP + 4", or an index into the chunk's dictionary of at most 253
-/// pairs; row 0 always takes a dictionary code, so a reader starting at
-/// a chunk needs no state from the one before. The addresses keep their
-/// low 32 bits under one high word taken from the chunk's first address;
-/// one whose high 32 bits differ is also kept whole in the column's
-/// exception list, keyed by its row in the chunk. No suite trace but the
-/// NN suite's (tensors above 4 GiB) has any.
-struct MemoChunk {
-    ips: IpCodeCol,
-    /// The addresses of the chunk's memory instructions only, in order;
-    /// a reader walks it with its own running cursor.
-    addrs: Low32Col,
-}
+/// pairs. A memory row takes one hit bit, and its address is stored only
+/// where its code's last address plus last stride does not predict it
+/// (the sequential codes share one stride slot). The codes and the slots
+/// start afresh at every chunk, so a reader starting at a chunk needs no
+/// state from the one before. No suite trace but the NN suite's (tensors
+/// above 4 GiB) stores an address outside its chunk's 4 GiB window.
+type MemoChunk = PackedRun;
 
 /// The memoized stream prefix of one [`SynthTrace`], shared by all of its
 /// batch streams. The canonical generator is parked exactly at `len`
@@ -74,6 +70,9 @@ struct MemoCols {
     /// Instructions memoized (the chunks' total).
     len: usize,
     gen: Option<Box<dyn Iterator<Item = Instr> + Send>>,
+    /// The trace's one encoder, started afresh for every chunk; it goes
+    /// with the generator.
+    enc: Option<Box<PackedEncoder>>,
     /// The row that ended the last chunk early: drawn from the generator
     /// but not yet memoized, it is the next chunk's row 0.
     carry: Option<Instr>,
@@ -87,46 +86,34 @@ impl MemoCols {
     fn push_chunk(&mut self, make: &MakeStream) {
         let n = MEMO_CHUNK.min(MEMO_CAP - self.len);
         let gen = self.gen.get_or_insert_with(|| make());
-        // The address fill buffer first, so it takes the one the last
-        // chunk freed.
-        let mut addrs = Low32Col::with_capacity(n);
-        let mut ips = IpCodeBuilder::with_capacity(n);
+        let enc = self.enc.get_or_insert_with(Box::default);
+        enc.start(n);
         let mut carry = self.carry.take();
-        while ips.len() < n {
+        while enc.len() < n {
             let Some(instr) = carry.take().or_else(|| gen.next()) else {
                 self.exhausted = true;
                 break;
             };
-            let row = ips.len();
             let (kind, addr) = match instr.mem {
                 MemOp::None => (KIND_NONE, 0),
                 MemOp::Load(a) => (KIND_LOAD, a.raw()),
                 MemOp::Store(a) => (KIND_STORE, a.raw()),
             };
-            if !ips.push(instr.ip.raw(), kind) {
+            if !enc.push(instr.ip.raw(), kind, addr) {
                 self.carry = Some(instr);
                 break;
             }
-            if kind != KIND_NONE {
-                addrs.push(row, addr);
-            }
         }
-        self.len += ips.len();
+        self.len += enc.len();
+        let chunk = enc.finish();
         if self.exhausted || self.len == MEMO_CAP {
             // The canonical generator will never advance again, so its
-            // (potentially large) state can go.
+            // (potentially large) state can go, and the encoder with it.
             self.gen = None;
+            self.enc = None;
         }
-        if !ips.is_empty() {
-            self.chunks.push(Arc::new(MemoChunk {
-                ips: ips.finish(),
-                // An exact-size copy. The full-size fill buffer is freed
-                // whole after the chunk is stored, for the next chunk's
-                // fill to reuse; shrinking it in place measured ~10 %
-                // slower to fill the first 25 K instructions of every
-                // memory-intensive trace.
-                addrs: addrs.clone(),
-            }));
+        if !chunk.is_empty() {
+            self.chunks.push(Arc::new(chunk));
         }
     }
 }
@@ -191,18 +178,14 @@ impl BatchStream for MemoBatchStream {
                 self.pos += out.len() - before;
                 break;
             }
-            let Some(c) = self
-                .chunk
-                .as_deref()
-                .filter(|c| self.at.row() < c.ips.len())
-            else {
+            let Some(c) = self.chunk.as_deref().filter(|c| self.at.row() < c.len()) else {
                 if self.advance() {
                     continue;
                 }
                 break;
             };
-            let n = (c.ips.len() - self.at.row()).min(BATCH_CAPACITY - out.len());
-            out.extend_from_packed(&c.ips, &c.addrs, &mut self.at, n);
+            let n = (c.len() - self.at.row()).min(BATCH_CAPACITY - out.len());
+            out.extend_from_packed(c, &mut self.at, n);
             self.pos += n;
         }
         out.len()
@@ -1275,7 +1258,8 @@ mod tests {
     }
 
     /// A trace's memo after its first `n` instructions have been read:
-    /// (column bytes, memoized instructions, address exceptions).
+    /// (the heap bytes of its chunks' codes, dictionaries, hit bitmaps
+    /// and stored addresses, memoized instructions, address exceptions).
     fn memo_footprint(t: &SynthTrace, n: usize) -> (usize, usize, usize) {
         let mut s = t.batch_stream();
         let mut batch = InstrBatch::new();
@@ -1286,9 +1270,9 @@ mod tests {
         let m = t.inner.memo.lock().unwrap();
         m.chunks.iter().fold((0, 0, 0), |(bytes, rows, exc), c| {
             (
-                bytes + c.ips.heap_bytes() + c.addrs.heap_bytes(),
-                rows + c.ips.len(),
-                exc + c.addrs.exception_count(),
+                bytes + c.heap_bytes(),
+                rows + c.len(),
+                exc + c.exception_count(),
             )
         })
     }
@@ -1299,10 +1283,10 @@ mod tests {
     #[test]
     fn memo_columns_stay_within_their_footprint() {
         for (suite, traces, max) in [
-            ("memory-intensive", crate::memory_intensive_suite(), 3.2),
-            ("front-end", crate::frontend_suite(), 1.9),
-            ("CloudSuite", crate::cloud_suite(), 3.8),
-            ("NN", crate::nn_suite(), 3.5),
+            ("memory-intensive", crate::memory_intensive_suite(), 1.5),
+            ("front-end", crate::frontend_suite(), 1.2),
+            ("CloudSuite", crate::cloud_suite(), 2.2),
+            ("NN", crate::nn_suite(), 1.5),
         ] {
             let (mut bytes, mut rows) = (0, 0);
             for t in &traces {

@@ -325,3 +325,105 @@ fn sequential_ips_wrap_past_u64_max() {
     });
     check_whole(&t);
 }
+
+/// Rows of the stride-predictor cases: two chunks and a ragged tail.
+const STRIDE_ROWS: u64 = 2 * CHUNK as u64 + 300;
+
+/// A finite trace of [`STRIDE_ROWS`] rows: row `i` is `row(i)`, or a
+/// non-memory row from a loop of eight IPs where `row` gives `None`, so
+/// no chunk fills its dictionary and every chunk edge is at a multiple
+/// of [`CHUNK`].
+fn stride_case(
+    name: &str,
+    row: impl Fn(u64) -> Option<Instr> + Send + Sync + Copy + 'static,
+) -> SynthTrace {
+    SynthTrace::new(name, move || {
+        Box::new(
+            (0..STRIDE_ROWS)
+                .map(move |i| row(i).unwrap_or_else(|| Instr::nop(0x70_0000 + (i % 8) * 4))),
+        )
+    })
+}
+
+/// A load IP striding +64 and a store IP striding -8 (its addresses
+/// wrap below 0 along the way), each predicted from its last stride
+/// across 256-row batch edges and the 4096-row chunk edge, where the
+/// slots start over.
+#[test]
+fn constant_strides_cross_batch_and_chunk_edges() {
+    check_whole(&stride_case("constant-stride", |i| match i % 5 {
+        0 => Some(Instr::load(0x40_0000, 0x2000_0000 + 64 * i)),
+        3 => Some(Instr::store(0x40_1000, 0x4000u64.wrapping_sub(8 * i))),
+        _ => None,
+    }));
+}
+
+/// A load IP whose stride changes, inside a batch, on the rows either
+/// side of batch edges, and on a chunk's row 0.
+#[test]
+fn stride_changes_are_relearned() {
+    check_whole(&stride_case("stride-change", |i| {
+        let addr = match i {
+            0..=999 => 0x1000_0000 + 64 * i,
+            1000..=1279 => 0x1100_0000 + 24 * i,
+            1280..=4095 => 0x1200_0000 - 128 * i,
+            _ => 0x1300_0000 + 40 * i,
+        };
+        (i % 2 == 0).then(|| Instr::load(0x41_0000, addr))
+    }));
+}
+
+/// A load IP that reads the same address twice every fourth turn (a
+/// stride of 0 between two strides of 64), and a store IP that writes
+/// one address 300 times over before it moves on, across the chunk edge.
+#[test]
+fn repeated_addresses_predict_with_stride_zero() {
+    check_whole(&stride_case("same-address", |i| match i % 4 {
+        1 => {
+            let k = i / 4;
+            Some(Instr::load(0x42_0000, 0x3000_0000 + 64 * (k - k / 4)))
+        }
+        2 => Some(Instr::store(0x42_0800, 0x5000_0000 + 0x40 * (i / 1200))),
+        _ => None,
+    }));
+}
+
+/// Loads and stores on sequential codes share one stride slot: a block
+/// whose two sequential memory rows, a load and a store, step 8 bytes
+/// through one array between them, with some blocks starting on a batch
+/// or chunk edge.
+#[test]
+fn sequential_codes_share_one_stride_slot() {
+    let t = SynthTrace::new("sequential-slot", || {
+        Box::new((0..STRIDE_ROWS).map(|i| {
+            // Blocks start on rows 1 mod 3: on the first chunk edge (row
+            // 4096) and on batch edges such as rows 256 and 1024.
+            let j = i + 2;
+            let ip = 0x43_0000 + (j % 3) * 4;
+            let addr = 0x6000_0000 + 16 * (j / 3);
+            match j % 3 {
+                0 => Instr::nop(ip),
+                1 => Instr::load(ip, addr),
+                _ => Instr::store(ip, addr + 8),
+            }
+        }))
+    });
+    check_whole(&t);
+}
+
+/// A load IP that jumps above 4 GiB from its chunk's window, keeps its
+/// stride there (the rows after the jump are predicted from the stored
+/// exception), crosses the chunk edge, whose chunk takes the high window
+/// for its own, and jumps back down.
+#[test]
+fn exceptions_seed_the_predictions_after_them() {
+    check_whole(&stride_case("exception-stride", |i| {
+        let k = i / 3;
+        let addr = if (85..1500).contains(&k) {
+            0x9_0000_0000 + 64 * (k - 85)
+        } else {
+            0x1000_0000 + 64 * k
+        };
+        (i % 3 == 2).then(|| Instr::load(0x44_0000, addr))
+    }));
+}
